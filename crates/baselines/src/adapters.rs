@@ -12,7 +12,6 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sss_net::{FaultInterposer, PauseControl};
 use sss_obs::{ObsHub, TxnTrace};
 use sss_storage::{Key, Value};
 
@@ -81,33 +80,11 @@ pub struct TwoPcEngine {
 }
 
 impl TwoPcEngine {
-    /// Starts a 2PC-baseline cluster of `nodes` nodes with `replication`
-    /// replicas per key.
-    pub fn start(nodes: usize, replication: usize) -> Self {
-        Self::start_with_interposer(nodes, replication, None)
-    }
-
-    /// [`TwoPcEngine::start`] with an optional fault interposer on the
-    /// cluster transport.
-    pub fn start_with_interposer(
-        nodes: usize,
-        replication: usize,
-        interposer: Option<Arc<dyn FaultInterposer>>,
-    ) -> Self {
-        Self::with_config(TwoPcConfig::new(nodes).replication(replication), interposer)
-    }
-
-    /// Starts the engine from an explicit [`TwoPcConfig`] (e.g. to tune the
-    /// storage shard arity), with an optional fault interposer.
-    pub fn with_config(config: TwoPcConfig, interposer: Option<Arc<dyn FaultInterposer>>) -> Self {
+    /// Starts the engine from an explicit [`TwoPcConfig`].
+    pub fn with_config(config: TwoPcConfig) -> Self {
         TwoPcEngine {
-            cluster: Arc::new(TwoPcCluster::start_with_interposer(config, interposer)),
+            cluster: Arc::new(TwoPcCluster::start(config)),
         }
-    }
-
-    /// Per-node pause gates of the cluster transport, for fault injectors.
-    pub fn pause_controls(&self) -> Vec<Arc<PauseControl>> {
-        self.cluster.pause_controls()
     }
 
     /// The underlying cluster (e.g. for commit/abort counters).
@@ -196,36 +173,11 @@ pub struct WalterEngine {
 }
 
 impl WalterEngine {
-    /// Starts a Walter cluster of `nodes` nodes with `replication` replicas
-    /// per key.
-    pub fn start(nodes: usize, replication: usize) -> Self {
-        Self::start_with_interposer(nodes, replication, None)
-    }
-
-    /// [`WalterEngine::start`] with an optional fault interposer on the
-    /// cluster transport.
-    pub fn start_with_interposer(
-        nodes: usize,
-        replication: usize,
-        interposer: Option<Arc<dyn FaultInterposer>>,
-    ) -> Self {
-        Self::with_config(
-            WalterConfig::new(nodes).replication(replication),
-            interposer,
-        )
-    }
-
-    /// Starts the engine from an explicit [`WalterConfig`] (e.g. to tune
-    /// the storage shard arity), with an optional fault interposer.
-    pub fn with_config(config: WalterConfig, interposer: Option<Arc<dyn FaultInterposer>>) -> Self {
+    /// Starts the engine from an explicit [`WalterConfig`].
+    pub fn with_config(config: WalterConfig) -> Self {
         WalterEngine {
-            cluster: Arc::new(WalterCluster::start_with_interposer(config, interposer)),
+            cluster: Arc::new(WalterCluster::start(config)),
         }
-    }
-
-    /// Per-node pause gates of the cluster transport, for fault injectors.
-    pub fn pause_controls(&self) -> Vec<Arc<PauseControl>> {
-        self.cluster.pause_controls()
     }
 
     /// The underlying cluster.
@@ -325,32 +277,11 @@ pub struct RococoEngine {
 }
 
 impl RococoEngine {
-    /// Starts a ROCOCO cluster of `nodes` nodes. Replication is always
-    /// disabled, as in the paper's comparison (Figures 6 and 8).
-    pub fn start(nodes: usize) -> Self {
-        Self::start_with_interposer(nodes, None)
-    }
-
-    /// [`RococoEngine::start`] with an optional fault interposer on the
-    /// cluster transport.
-    pub fn start_with_interposer(
-        nodes: usize,
-        interposer: Option<Arc<dyn FaultInterposer>>,
-    ) -> Self {
-        Self::with_config(RococoConfig::new(nodes), interposer)
-    }
-
-    /// Starts the engine from an explicit [`RococoConfig`] (e.g. to tune
-    /// the storage shard arity), with an optional fault interposer.
-    pub fn with_config(config: RococoConfig, interposer: Option<Arc<dyn FaultInterposer>>) -> Self {
+    /// Starts the engine from an explicit [`RococoConfig`].
+    pub fn with_config(config: RococoConfig) -> Self {
         RococoEngine {
-            cluster: Arc::new(RococoCluster::start_with_interposer(config, interposer)),
+            cluster: Arc::new(RococoCluster::start(config)),
         }
-    }
-
-    /// Per-node pause gates of the cluster transport, for fault injectors.
-    pub fn pause_controls(&self) -> Vec<Arc<PauseControl>> {
-        self.cluster.pause_controls()
     }
 
     /// The underlying cluster.
@@ -449,25 +380,30 @@ impl RococoEngineSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sss_net::ClusterConfig;
 
     #[test]
     fn every_baseline_adapter_commits_serial_work() {
+        let cluster = ClusterConfig {
+            replication: 1,
+            ..ClusterConfig::new(2)
+        };
         let writes = vec![(Key::new("x"), Value::from_u64(9))];
         let reads = vec![Key::new("x")];
 
-        let twopc = TwoPcEngine::start(2, 1);
+        let twopc = TwoPcEngine::with_config(TwoPcConfig::on(cluster.clone()));
         let mut session = twopc.open_session(0);
         assert!(session.run_update(&[], &writes).is_some());
         assert!(session.run_read_only(&reads).is_some());
         twopc.cluster().shutdown();
 
-        let walter = WalterEngine::start(2, 1);
+        let walter = WalterEngine::with_config(WalterConfig::on(cluster.clone()));
         let mut session = walter.open_session(0);
         assert!(session.run_update(&[], &writes).is_some());
         assert!(session.run_read_only(&reads).is_some());
         walter.cluster().shutdown();
 
-        let rococo = RococoEngine::start(2);
+        let rococo = RococoEngine::with_config(RococoConfig::on(cluster));
         let mut session = rococo.open_session(0);
         assert!(session.run_update(&[], &writes).is_some());
         assert!(session.run_read_only(&reads).is_some());

@@ -29,12 +29,11 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 use sss_net::{
-    reply_channel, ChannelTransport, Envelope, FaultInterposer, NodeRuntime, NodeService,
-    PauseControl, Priority, ReplySender, Transport, TransportConfig,
+    reply_channel, ClusterConfig, ClusterHost, Envelope, NodeService, Priority, ReplySender,
+    Transport,
 };
 use sss_obs::{ObsHub, Phase, TxnTrace};
 use sss_storage::{Key, RecentSet, ReplicaMap, SvStore, TxnId, Value};
-use sss_vclock::runtime::SchedulerHandle;
 use sss_vclock::NodeId;
 
 /// Human-readable labels of the ROCOCO message kinds, in
@@ -45,10 +44,9 @@ pub const MESSAGE_KIND_LABELS: [&str; 3] = ["Dispatch", "Commit", "SnapshotRead"
 /// Configuration of a [`RococoCluster`].
 #[derive(Debug, Clone)]
 pub struct RococoConfig {
-    /// Number of nodes.
-    pub nodes: usize,
-    /// Worker threads per node.
-    pub workers_per_node: usize,
+    /// The settings every engine shares (cluster shape, worker pools,
+    /// network model, observability hub, scheduler, fault injector).
+    pub cluster: ClusterConfig,
     /// Timeout for individual RPCs.
     pub rpc_timeout: Duration,
     /// Maximum snapshot-validation rounds a read-only transaction attempts
@@ -57,19 +55,6 @@ pub struct RococoConfig {
     /// Pause between read-only validation rounds while waiting for
     /// conflicting update transactions to drain.
     pub read_only_backoff: Duration,
-    /// Shard arity of every node's single-version store. Rounded up to a
-    /// power of two.
-    pub storage_shards: usize,
-    /// Messages a node worker drains from its mailbox per wakeup (clamped
-    /// to at least 1).
-    pub delivery_batch: usize,
-    /// Optional observability hub: sessions trace the dispatch / execute /
-    /// read phases into it. When `None` — the default — every
-    /// instrumentation site is one branch.
-    pub observability: Option<Arc<ObsHub>>,
-    /// Optional deterministic-simulation scheduler (see `sss-sim`): when
-    /// set, the cluster's transport and workers run in virtual time.
-    pub scheduler: Option<SchedulerHandle>,
 }
 
 impl RococoConfig {
@@ -79,43 +64,17 @@ impl RococoConfig {
     ///
     /// Panics if `nodes` is zero.
     pub fn new(nodes: usize) -> Self {
-        assert!(nodes > 0, "cluster must have at least one node");
+        Self::on(ClusterConfig::new(nodes))
+    }
+
+    /// The protocol defaults on the given shared cluster settings.
+    pub fn on(cluster: ClusterConfig) -> Self {
         RococoConfig {
-            nodes,
-            workers_per_node: 4,
+            cluster,
             rpc_timeout: Duration::from_secs(1),
             read_only_max_rounds: 8,
             read_only_backoff: Duration::from_micros(100),
-            storage_shards: sss_storage::DEFAULT_SHARDS,
-            delivery_batch: sss_net::DEFAULT_DELIVERY_BATCH,
-            observability: None,
-            scheduler: None,
         }
-    }
-
-    /// Runs the cluster under a deterministic-simulation scheduler.
-    pub fn scheduler(mut self, scheduler: SchedulerHandle) -> Self {
-        self.scheduler = Some(scheduler);
-        self
-    }
-
-    /// Sets the shard arity of every node's single-version store.
-    pub fn storage_shards(mut self, shards: usize) -> Self {
-        self.storage_shards = shards;
-        self
-    }
-
-    /// Attaches an observability hub (see [`sss_obs::ObsHub`]).
-    pub fn observability(mut self, hub: Arc<ObsHub>) -> Self {
-        self.observability = Some(hub);
-        self
-    }
-
-    /// Sets the per-wakeup mailbox delivery batch size of every node's
-    /// workers (clamped to at least 1).
-    pub fn delivery_batch(mut self, batch: usize) -> Self {
-        self.delivery_batch = batch;
-        self
     }
 }
 
@@ -303,70 +262,31 @@ impl NodeService<RococoMessage> for RococoNode {
 /// comparison).
 pub struct RococoCluster {
     config: RococoConfig,
-    transport: Arc<ChannelTransport<RococoMessage>>,
+    host: ClusterHost<RococoMessage>,
     nodes: Vec<Arc<RococoNode>>,
-    runtimes: Mutex<Vec<NodeRuntime>>,
     placement: ReplicaMap,
     next_txn: AtomicU64,
 }
 
 impl RococoCluster {
-    /// Boots the cluster.
+    /// Boots the cluster on a [`ClusterHost`].
     pub fn start(config: RococoConfig) -> Self {
-        Self::start_with_interposer(config, None)
-    }
-
-    /// Boots the cluster with an optional fault interposer on its
-    /// transport (the baselines run on the same `sss-net` substrate as
-    /// SSS, so injected faults hit them identically).
-    pub fn start_with_interposer(
-        config: RococoConfig,
-        interposer: Option<Arc<dyn FaultInterposer>>,
-    ) -> Self {
-        let mut transport_config = TransportConfig::new(config.nodes);
-        if let Some(interposer) = interposer {
-            transport_config = transport_config.interposer(interposer);
-        }
-        if let Some(scheduler) = &config.scheduler {
-            transport_config = transport_config.scheduler(Arc::clone(scheduler));
-        }
-        let transport = Arc::new(ChannelTransport::new(transport_config));
-        // Per-kind message accounting, mirroring the SSS transport: every
-        // send is attributed to its protocol message type.
-        transport.set_message_classifier(|message: &RococoMessage| message.kind_index());
-        let nodes: Vec<Arc<RococoNode>> = (0..config.nodes)
+        let host = ClusterHost::new(&config.cluster, RococoMessage::kind_index);
+        let nodes: Vec<Arc<RococoNode>> = (0..config.cluster.nodes)
             .map(|i| {
                 Arc::new(RococoNode {
                     id: NodeId(i),
-                    state: Mutex::new(RococoNodeState::with_shards(config.storage_shards)),
+                    state: Mutex::new(RococoNodeState::with_shards(config.cluster.storage_shards)),
                 })
             })
             .collect();
-        // Self-addressed messages (a client dispatching to the local key
-        // owner) skip the mailbox via the local fast path.
-        for node in &nodes {
-            let handler = Arc::clone(node);
-            transport
-                .set_local_dispatch(node.id, Arc::new(move |envelope| handler.handle(envelope)));
-        }
-        let runtimes = nodes
-            .iter()
-            .map(|node| {
-                NodeRuntime::spawn_batched(
-                    node.id,
-                    transport.mailbox(node.id),
-                    Arc::clone(node),
-                    config.workers_per_node,
-                    config.delivery_batch,
-                )
-            })
-            .collect();
-        let placement = ReplicaMap::new(config.nodes, 1);
+        host.start(&nodes);
+        // Unreplicated, as in the paper's comparison.
+        let placement = ReplicaMap::new(config.cluster.nodes, 1);
         RococoCluster {
             config,
-            transport,
+            host,
             nodes,
-            runtimes: Mutex::new(runtimes),
             placement,
             next_txn: AtomicU64::new(0),
         }
@@ -377,17 +297,10 @@ impl RococoCluster {
         self.nodes.len()
     }
 
-    /// Per-node pause gates of the cluster transport, for fault injectors.
-    pub fn pause_controls(&self) -> Vec<Arc<PauseControl>> {
-        (0..self.nodes.len())
-            .map(|i| self.transport.mailbox(NodeId(i)).pause_control())
-            .collect()
-    }
-
     /// The observability hub the cluster was started with, if any (see
-    /// [`RococoConfig::observability`]).
+    /// [`ClusterConfig::observability`]).
     pub fn observability(&self) -> Option<Arc<ObsHub>> {
-        self.config.observability.clone()
+        self.config.cluster.observability.clone()
     }
 
     /// Aggregated storage-layer counters (single-version store, with the
@@ -407,11 +320,7 @@ impl RococoCluster {
 
     /// Aggregated mailbox traffic counters summed over every node.
     pub fn mailbox_totals(&self) -> sss_net::MailboxStats {
-        let mut total = sss_net::MailboxStats::default();
-        for i in 0..self.nodes.len() {
-            total.merge(&self.transport.mailbox_stats(NodeId(i)));
-        }
-        total
+        self.host.mailbox_totals()
     }
 
     /// Opens a session colocated with `node`.
@@ -429,16 +338,7 @@ impl RococoCluster {
 
     /// Shuts the cluster down. Idempotent.
     pub fn shutdown(&self) {
-        self.transport.shutdown();
-        for runtime in std::mem::take(&mut *self.runtimes.lock()) {
-            runtime.join();
-        }
-    }
-}
-
-impl Drop for RococoCluster {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.host.shutdown();
     }
 }
 
@@ -502,7 +402,8 @@ impl<'c> RococoSession<'c> {
             };
             if self
                 .cluster
-                .transport
+                .host
+                .transport()
                 .send(self.node, owner, msg, Priority::Normal)
                 .is_err()
             {
@@ -535,7 +436,8 @@ impl<'c> RococoSession<'c> {
             };
             if self
                 .cluster
-                .transport
+                .host
+                .transport()
                 .send(self.node, owner, msg, Priority::High)
                 .is_err()
             {
@@ -562,7 +464,8 @@ impl<'c> RococoSession<'c> {
             };
             if self
                 .cluster
-                .transport
+                .host
+                .transport()
                 .send(self.node, owner, msg, Priority::Normal)
                 .is_err()
             {

@@ -17,12 +17,11 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 use sss_net::{
-    reply_channel, ChannelTransport, Envelope, FaultInterposer, NodeRuntime, NodeService,
-    PauseControl, Priority, ReplySender, TransportConfig, TransportExt,
+    reply_channel, ClusterConfig, ClusterHost, Envelope, NodeService, Priority, ReplySender,
+    TransportExt,
 };
 use sss_obs::{ObsHub, Phase, TxnTrace};
 use sss_storage::{Key, LockKind, LockTable, RecentTxnSet, ReplicaMap, SvStore, TxnId, Value};
-use sss_vclock::runtime::SchedulerHandle;
 use sss_vclock::NodeId;
 
 /// Human-readable labels of the 2PC-baseline message kinds, in
@@ -33,29 +32,13 @@ pub const MESSAGE_KIND_LABELS: [&str; 3] = ["Read", "Prepare", "Decide"];
 /// Configuration of a [`TwoPcCluster`].
 #[derive(Debug, Clone)]
 pub struct TwoPcConfig {
-    /// Number of nodes.
-    pub nodes: usize,
-    /// Replication degree.
-    pub replication: usize,
-    /// Worker threads per node.
-    pub workers_per_node: usize,
+    /// The settings every engine shares (cluster shape, worker pools,
+    /// network model, observability hub, scheduler, fault injector).
+    pub cluster: ClusterConfig,
     /// Lock-acquisition timeout (1ms in the paper's evaluation).
     pub lock_timeout: Duration,
     /// Timeout for reads and 2PC votes.
     pub rpc_timeout: Duration,
-    /// Shard arity of every node's storage structures (single-version store
-    /// and lock table). Rounded up to a power of two.
-    pub storage_shards: usize,
-    /// Messages a node worker drains from its mailbox per wakeup (clamped
-    /// to at least 1).
-    pub delivery_batch: usize,
-    /// Optional observability hub: sessions trace protocol phases and the
-    /// nodes record server-side lock-acquisition spans into it. When `None`
-    /// — the default — every instrumentation site is one branch.
-    pub observability: Option<Arc<ObsHub>>,
-    /// Optional deterministic-simulation scheduler (see `sss-sim`): when
-    /// set, the cluster's transport and workers run in virtual time.
-    pub scheduler: Option<SchedulerHandle>,
 }
 
 impl TwoPcConfig {
@@ -65,55 +48,16 @@ impl TwoPcConfig {
     ///
     /// Panics if `nodes` is zero.
     pub fn new(nodes: usize) -> Self {
-        assert!(nodes > 0, "cluster must have at least one node");
+        Self::on(ClusterConfig::new(nodes))
+    }
+
+    /// The protocol defaults on the given shared cluster settings.
+    pub fn on(cluster: ClusterConfig) -> Self {
         TwoPcConfig {
-            nodes,
-            replication: 2.min(nodes),
-            workers_per_node: 4,
+            cluster,
             lock_timeout: Duration::from_millis(1),
             rpc_timeout: Duration::from_secs(1),
-            storage_shards: sss_storage::DEFAULT_SHARDS,
-            delivery_batch: sss_net::DEFAULT_DELIVERY_BATCH,
-            observability: None,
-            scheduler: None,
         }
-    }
-
-    /// Runs the cluster under a deterministic-simulation scheduler.
-    pub fn scheduler(mut self, scheduler: SchedulerHandle) -> Self {
-        self.scheduler = Some(scheduler);
-        self
-    }
-
-    /// Sets the replication degree.
-    pub fn replication(mut self, degree: usize) -> Self {
-        self.replication = degree;
-        self
-    }
-
-    /// Sets the lock timeout.
-    pub fn lock_timeout(mut self, timeout: Duration) -> Self {
-        self.lock_timeout = timeout;
-        self
-    }
-
-    /// Attaches an observability hub (see [`sss_obs::ObsHub`]).
-    pub fn observability(mut self, hub: Arc<ObsHub>) -> Self {
-        self.observability = Some(hub);
-        self
-    }
-
-    /// Sets the shard arity of every node's storage structures.
-    pub fn storage_shards(mut self, shards: usize) -> Self {
-        self.storage_shards = shards;
-        self
-    }
-
-    /// Sets the per-wakeup mailbox delivery batch size of every node's
-    /// workers (clamped to at least 1).
-    pub fn delivery_batch(mut self, batch: usize) -> Self {
-        self.delivery_batch = batch;
-        self
     }
 }
 
@@ -345,77 +289,37 @@ impl NodeService<TwoPcMessage> for TwoPcNode {
 /// A running 2PC-baseline cluster.
 pub struct TwoPcCluster {
     config: TwoPcConfig,
-    transport: Arc<ChannelTransport<TwoPcMessage>>,
+    host: ClusterHost<TwoPcMessage>,
     nodes: Vec<Arc<TwoPcNode>>,
-    runtimes: Mutex<Vec<NodeRuntime>>,
     next_txn: AtomicU64,
 }
 
 impl TwoPcCluster {
-    /// Boots the cluster.
+    /// Boots the cluster on a [`ClusterHost`].
     pub fn start(config: TwoPcConfig) -> Self {
-        Self::start_with_interposer(config, None)
-    }
-
-    /// Boots the cluster with an optional fault interposer on its
-    /// transport (the baselines run on the same `sss-net` substrate as
-    /// SSS, so injected faults hit them identically).
-    pub fn start_with_interposer(
-        config: TwoPcConfig,
-        interposer: Option<Arc<dyn FaultInterposer>>,
-    ) -> Self {
-        let mut transport_config = TransportConfig::new(config.nodes);
-        if let Some(interposer) = interposer {
-            transport_config = transport_config.interposer(interposer);
-        }
-        if let Some(scheduler) = &config.scheduler {
-            transport_config = transport_config.scheduler(Arc::clone(scheduler));
-        }
-        let transport = Arc::new(ChannelTransport::new(transport_config));
-        // Per-kind message accounting, mirroring the SSS transport: every
-        // send is attributed to its protocol message type.
-        transport.set_message_classifier(|message: &TwoPcMessage| message.kind_index());
-        let replicas = ReplicaMap::new(config.nodes, config.replication);
-        let nodes: Vec<Arc<TwoPcNode>> = (0..config.nodes)
+        let host = ClusterHost::new(&config.cluster, TwoPcMessage::kind_index);
+        let replicas = config.cluster.replica_map();
+        let nodes: Vec<Arc<TwoPcNode>> = (0..config.cluster.nodes)
             .map(|i| {
                 Arc::new(TwoPcNode {
                     id: NodeId(i),
                     replicas: replicas.clone(),
-                    store: SvStore::with_shards(config.storage_shards),
+                    store: SvStore::with_shards(config.cluster.storage_shards),
                     prepared: Mutex::new(HashMap::new()),
                     decided: Mutex::new(RecentTxnSet::new(1 << 16)),
-                    locks: LockTable::with_shards(config.storage_shards),
+                    locks: LockTable::with_shards(config.cluster.storage_shards),
                     lock_timeout: config.lock_timeout,
                     aborts: AtomicU64::new(0),
                     commits: AtomicU64::new(0),
-                    obs: config.observability.clone(),
+                    obs: config.cluster.observability.clone(),
                 })
             })
             .collect();
-        // Self-addressed messages (the coordinator is usually a replica of
-        // its own keys) skip the mailbox via the local fast path.
-        for node in &nodes {
-            let handler = Arc::clone(node);
-            transport
-                .set_local_dispatch(node.id, Arc::new(move |envelope| handler.handle(envelope)));
-        }
-        let runtimes = nodes
-            .iter()
-            .map(|node| {
-                NodeRuntime::spawn_batched(
-                    node.id,
-                    transport.mailbox(node.id),
-                    Arc::clone(node),
-                    config.workers_per_node,
-                    config.delivery_batch,
-                )
-            })
-            .collect();
+        host.start(&nodes);
         TwoPcCluster {
             config,
-            transport,
+            host,
             nodes,
-            runtimes: Mutex::new(runtimes),
             next_txn: AtomicU64::new(0),
         }
     }
@@ -425,17 +329,10 @@ impl TwoPcCluster {
         self.nodes.len()
     }
 
-    /// Per-node pause gates of the cluster transport, for fault injectors.
-    pub fn pause_controls(&self) -> Vec<Arc<PauseControl>> {
-        (0..self.nodes.len())
-            .map(|i| self.transport.mailbox(NodeId(i)).pause_control())
-            .collect()
-    }
-
     /// The observability hub the cluster was started with, if any (see
-    /// [`TwoPcConfig::observability`]).
+    /// [`ClusterConfig::observability`]).
     pub fn observability(&self) -> Option<Arc<ObsHub>> {
-        self.config.observability.clone()
+        self.config.cluster.observability.clone()
     }
 
     /// Aggregated storage-layer counters (single-version store and lock
@@ -454,11 +351,7 @@ impl TwoPcCluster {
 
     /// Aggregated mailbox traffic counters summed over every node.
     pub fn mailbox_totals(&self) -> sss_net::MailboxStats {
-        let mut total = sss_net::MailboxStats::default();
-        for i in 0..self.nodes.len() {
-            total.merge(&self.transport.mailbox_stats(NodeId(i)));
-        }
-        total
+        self.host.mailbox_totals()
     }
 
     /// Total commits applied across nodes (diagnostic).
@@ -492,20 +385,11 @@ impl TwoPcCluster {
 
     /// Shuts down the cluster. Idempotent.
     pub fn shutdown(&self) {
-        self.transport.shutdown();
-        for runtime in std::mem::take(&mut *self.runtimes.lock()) {
-            runtime.join();
-        }
+        self.host.shutdown();
     }
 
     fn replicas(&self) -> ReplicaMap {
-        ReplicaMap::new(self.config.nodes, self.config.replication)
-    }
-}
-
-impl Drop for TwoPcCluster {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.config.cluster.replica_map()
     }
 }
 
@@ -544,7 +428,8 @@ impl<'c> TwoPcSession<'c> {
         };
         let _ = self
             .cluster
-            .transport
+            .host
+            .transport()
             .multicast(self.node, replicas, msg, Priority::Normal);
         rx.recv_timeout(self.cluster.config.rpc_timeout)
             .map(|r| (r.value, r.version))
@@ -607,7 +492,7 @@ impl<'c> TwoPcSession<'c> {
             write_set: writes.to_vec(),
             reply,
         };
-        let _ = self.cluster.transport.multicast(
+        let _ = self.cluster.host.transport().multicast(
             self.node,
             participants.iter().copied(),
             prepare,
@@ -652,7 +537,7 @@ impl<'c> TwoPcSession<'c> {
             outcome: ok,
             ack: ok.then_some(ack_reply),
         };
-        let _ = self.cluster.transport.multicast(
+        let _ = self.cluster.host.transport().multicast(
             self.node,
             participants.iter().copied(),
             decide,
@@ -736,7 +621,8 @@ mod tests {
         };
         for target in &replicas {
             cluster
-                .transport
+                .host
+                .transport()
                 .send(NodeId(1), *target, prepare.clone(), Priority::Normal)
                 .unwrap();
         }

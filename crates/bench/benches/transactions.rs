@@ -4,13 +4,13 @@
 //! The evaluation figures themselves are regenerated by the `fig3`…`fig8`
 //! binaries (see `src/bin/`); keeping them out of `cargo bench` keeps the
 //! bench run short while the binaries remain the tool for producing the
-//! numbers recorded in `EXPERIMENTS.md`.
+//! figure tables.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use sss_engine::{EngineKind, NetProfile};
+use sss_engine::{EngineKind, EngineSpec};
 use sss_storage::{Key, Value};
 use sss_workload::{populate, WorkloadSpec};
 
@@ -23,7 +23,9 @@ fn tiny_spec() -> WorkloadSpec {
 
 fn bench_sss_transactions(c: &mut Criterion) {
     let spec = tiny_spec();
-    let engine = EngineKind::Sss.build(spec.nodes, 2, NetProfile::Instant);
+    let engine = EngineKind::Sss
+        .build(EngineSpec::new(spec.nodes, 2))
+        .unwrap();
     populate(engine.as_ref(), &spec);
     let mut session = engine.session(0);
     let keys: Vec<Key> = (0..2).map(|i| Key::new(format!("key-{i}"))).collect();
@@ -52,21 +54,27 @@ fn bench_baseline_transactions(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("baselines");
 
-    let twopc = EngineKind::TwoPc.build(spec.nodes, 2, NetProfile::Instant);
+    let twopc = EngineKind::TwoPc
+        .build(EngineSpec::new(spec.nodes, 2))
+        .unwrap();
     populate(twopc.as_ref(), &spec);
     let mut twopc_session = twopc.session(0);
     group.bench_function("twopc_update_2keys", |b| {
         b.iter(|| std::hint::black_box(twopc_session.run_update(&keys, &writes)))
     });
 
-    let walter = EngineKind::Walter.build(spec.nodes, 2, NetProfile::Instant);
+    let walter = EngineKind::Walter
+        .build(EngineSpec::new(spec.nodes, 2))
+        .unwrap();
     populate(walter.as_ref(), &spec);
     let mut walter_session = walter.session(0);
     group.bench_function("walter_read_only_2keys", |b| {
         b.iter(|| assert!(walter_session.run_read_only(&keys).is_committed()))
     });
 
-    let rococo = EngineKind::Rococo.build(spec.nodes, 1, NetProfile::Instant);
+    let rococo = EngineKind::Rococo
+        .build(EngineSpec::new(spec.nodes, 1))
+        .unwrap();
     populate(rococo.as_ref(), &spec);
     let mut rococo_session = rococo.session(0);
     group.bench_function("rococo_update_2keys", |b| {

@@ -2,8 +2,7 @@
 //!
 //! Each function returns a [`FigureTable`] whose rows mirror the data series
 //! of the corresponding plot in the paper. The binaries under `src/bin/`
-//! print these tables; `EXPERIMENTS.md` records the measured output next to
-//! the paper's reported trends.
+//! print these tables for comparison with the paper's plots.
 
 use std::time::Duration;
 

@@ -6,7 +6,7 @@
 //! surface, exactly like the paper runs every competitor "on the same
 //! software infrastructure".
 
-use sss_engine::{EngineKind, NetProfile};
+use sss_engine::{EngineKind, EngineSpec, NetProfile};
 use sss_workload::{populate, run_trials, WorkloadReport, WorkloadSpec};
 
 /// Builds the requested engine through the registry, pre-populates the key
@@ -26,7 +26,12 @@ pub fn run_engine_with_profile(
     replication: usize,
     profile: NetProfile,
 ) -> WorkloadReport {
-    let engine = kind.build(spec.nodes, replication, profile);
+    let engine = kind
+        .build(EngineSpec {
+            profile,
+            ..EngineSpec::new(spec.nodes, replication)
+        })
+        .expect("no fault plan to refuse");
     populate(engine.as_ref(), spec);
     run_trials(engine.as_ref(), spec)
 }

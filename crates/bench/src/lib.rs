@@ -45,7 +45,7 @@ pub mod throughput;
 
 pub use harness::{run_engine, run_engine_with_profile};
 pub use sim_sweep::{run_sim_sweep, SimSweepConfig, SweepReport};
-pub use sss_engine::{EngineKind, EngineTuning, NetProfile};
+pub use sss_engine::{EngineKind, EngineSpec, NetProfile};
 pub use throughput::{run_throughput, ThroughputConfig, ThroughputReport};
 
 pub use cli::{figure_main, FigureSelection};

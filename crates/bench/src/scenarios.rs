@@ -6,8 +6,8 @@
 //! Every injected fault is safety-preserving in the paper's system model:
 //! delay, reorder, duplicate, partition-with-heal and pause are so
 //! natively, while message loss and crash-stop plans auto-enable the
-//! reliable-delivery layer plus the restart-recovery protocol (see
-//! `sss_core::SssCluster::start`). SSS must keep external consistency
+//! reliable-delivery layer (see `sss_net::ClusterHost`) plus SSS's
+//! restart-recovery protocol (see `sss_core::SssCluster::start`). SSS must keep external consistency
 //! through every entry and read-only abort freedom through every
 //! crash-free entry (a read parked on a crashing node aborts and retries —
 //! [`ScenarioExpectations::sss_under_crash`]); the serializable baselines
@@ -15,7 +15,7 @@
 
 use std::time::Duration;
 
-use sss_engine::{EngineKind, EngineTuning, FaultInjector, TraceSpan, TransactionEngine};
+use sss_engine::{EngineKind, EngineSpec, FaultInjector, TraceSpan, TransactionEngine};
 use sss_workload::scenario::{
     run_scenario, run_scenario_on, ChaosScenario, ScenarioExpectations, ScenarioOutcome,
 };
@@ -411,13 +411,10 @@ fn run_entry(
     let scenario = &run.scenario;
     scenario.spec.validate()?;
     let injector = FaultInjector::new(scenario.faults.clone());
-    let engine = run.engine.build_tuned(
-        scenario.spec.nodes,
-        scenario.replication.min(scenario.spec.nodes),
-        scenario.profile,
-        EngineTuning::default().observability(true),
-        Some(&injector),
-    );
+    let engine = run.engine.build(EngineSpec {
+        observability: true,
+        ..scenario.engine_spec(&injector)
+    })?;
     let outcome = run_scenario_on(engine.as_ref(), &injector, scenario);
     injector.disarm();
     let spans = engine.observability().map(|hub| hub.drain_spans());

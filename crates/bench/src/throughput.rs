@@ -2,7 +2,7 @@
 //!
 //! This is the measurement pipeline behind the `throughput` binary: for
 //! every requested (engine × storage-shard-count) cell it builds the engine
-//! through [`EngineKind::build_tuned`], pre-populates the key space, runs
+//! through [`EngineKind::build`], pre-populates the key space, runs
 //! `clients_per_node` closed-loop client threads per node through a
 //! **warm-up phase** followed by a **measured window**, and reports ops/s,
 //! latency percentiles (p50/p95/p99), the abort rate, and the per-shard
@@ -26,13 +26,13 @@
 //!   time bounded and independent of machine speed.
 //!
 //! * **Batch sweep** — `batch_sizes` sweeps the per-wakeup delivery batch
-//!   size of the engine's mailbox workers (`EngineTuning::delivery_batch`),
+//!   size of the engine's mailbox workers (`EngineSpec::delivery_batch`),
 //!   batch size 1 reproducing one-message-per-wakeup delivery. Per-run
 //!   message accounting (messages per committed transaction, messages per
 //!   worker wakeup, locally delivered messages) quantifies what batching
 //!   and the local delivery fast path save.
 //! * **Epoch sweep** — `epoch_windows` sweeps SSS's grouped
-//!   external-commit confirmation window (`EngineTuning::confirm_epoch`);
+//!   external-commit confirmation window (`EngineSpec::confirm_epoch`);
 //!   window 1 reproduces the per-transaction confirmation round of the
 //!   base protocol. Baseline engines ignore the knob, so only the first
 //!   window is run for them. Per-message-kind counts in the report
@@ -59,8 +59,7 @@ use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use sss_engine::{
-    EngineKind, EngineTuning, Histogram, MailboxStats, NetProfile, Phase, StorageStats, TraceSpan,
-    TxnOutcome,
+    EngineKind, EngineSpec, Histogram, MailboxStats, Phase, StorageStats, TraceSpan, TxnOutcome,
 };
 use sss_workload::{populate, NodeId, TxnTemplate, WorkloadGenerator, WorkloadSpec};
 
@@ -516,16 +515,15 @@ fn run_trial(
     batch: usize,
     epoch: usize,
 ) -> (ThroughputRun, Histogram) {
-    let engine = kind.build_tuned(
-        config.nodes,
-        config.replication,
-        NetProfile::Instant,
-        EngineTuning::with_storage_shards(shards)
-            .delivery_batch(batch)
-            .confirm_epoch(epoch)
-            .observability(config.observability),
-        None,
-    );
+    let engine = kind
+        .build(EngineSpec {
+            storage_shards: shards,
+            delivery_batch: batch,
+            confirm_epoch: epoch,
+            observability: config.observability,
+            ..EngineSpec::new(config.nodes, config.replication)
+        })
+        .expect("no fault plan to refuse");
     let hub = engine.observability();
     let spec = config.spec();
     spec.validate().expect("throughput spec must be valid");

@@ -9,8 +9,9 @@
 
 use std::time::{Duration, Instant};
 
+use sss_bench::scenarios::sss_scenarios;
 use sss_bench::sim_sweep::{replay_corpus, run_corpus_entry, run_sim_sweep, SimSweepConfig};
-use sss_workload::scenario::{run_scenario, run_scenario_sim, ChaosScenario};
+use sss_workload::scenario::{run_scenario, run_scenario_sim, ChaosScenario, ScenarioExpectations};
 use sss_workload::{EngineKind, WorkloadSpec};
 
 fn sweep(seeds: u64) -> SimSweepConfig {
@@ -135,4 +136,45 @@ fn sim_and_threaded_runtimes_agree_on_the_outcome_summary() {
         simulated.summary(),
         "the runtime must not change what the workload commits"
     );
+}
+
+/// The baselines ride the same cluster host as SSS, so a plan that loses a
+/// fifth of all messages turns on reliable delivery for them too: the
+/// `lossy-link` catalog scenario runs checker-clean on the serializable
+/// baselines, and Walter — whose PSI admits serialization cycles by design,
+/// loss or not — still commits every transaction.
+#[test]
+fn baselines_survive_the_lossy_link_scenario() {
+    let seed = 7;
+    let lossy = sss_scenarios(true, seed)
+        .into_iter()
+        .find(|scenario| scenario.name == "lossy-link")
+        .expect("catalog has a lossy-link scenario");
+    for (kind, expect) in [
+        (
+            EngineKind::TwoPc,
+            ScenarioExpectations::serializable_baseline(),
+        ),
+        (EngineKind::Walter, ScenarioExpectations::weak_baseline()),
+        (
+            EngineKind::Rococo,
+            ScenarioExpectations::serializable_baseline(),
+        ),
+    ] {
+        let scenario = lossy.clone().expect(expect);
+        // ROCOCO runs unreplicated, as in the paper's comparison.
+        let scenario = match kind {
+            EngineKind::Rococo => scenario.replication(1),
+            _ => scenario,
+        };
+        let outcome = run_scenario_sim(kind, &scenario, seed).expect("valid scenario");
+        assert!(outcome.passed(), "{kind}: {:?}", outcome.violations);
+        if expect.external_consistency {
+            assert_eq!(
+                outcome.consistency,
+                Some(Ok(())),
+                "{kind}: checker must run"
+            );
+        }
+    }
 }

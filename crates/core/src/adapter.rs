@@ -24,16 +24,6 @@ pub struct SssEngine {
 }
 
 impl SssEngine {
-    /// Starts an SSS cluster of `nodes` nodes with `replication` replicas
-    /// per key and the paper's default timeouts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cluster fails to boot (worker spawn failure).
-    pub fn start(nodes: usize, replication: usize) -> Self {
-        Self::with_config(SssConfig::new(nodes).replication(replication))
-    }
-
     /// Starts an SSS cluster with an explicit configuration.
     ///
     /// # Panics
@@ -48,12 +38,6 @@ impl SssEngine {
     /// The underlying cluster (e.g. for protocol statistics).
     pub fn cluster(&self) -> &SssCluster {
         &self.cluster
-    }
-
-    /// The fault injector the engine runs under, if any (see
-    /// [`SssConfig::faults`]).
-    pub fn fault_injector(&self) -> Option<&std::sync::Arc<crate::FaultInjector>> {
-        self.cluster.fault_injector()
     }
 
     /// Number of nodes the engine runs.
@@ -174,7 +158,7 @@ mod tests {
 
     #[test]
     fn adapter_runs_whole_transactions() {
-        let engine = SssEngine::start(2, 1);
+        let engine = SssEngine::with_config(SssConfig::new(2).replication(1));
         let mut session = engine.open_session(0);
         let writes = vec![(Key::new("a"), Value::from_u64(1))];
         assert!(session.run_update(&[], &writes).is_some());

@@ -4,8 +4,7 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sss_faults::{FaultInjector, FaultInterposer};
-use sss_net::{ChannelTransport, NodeRuntime, NodeService, ReliabilityConfig, TransportConfig};
+use sss_net::ClusterHost;
 use sss_vclock::NodeId;
 
 use crate::config::SssConfig;
@@ -41,10 +40,8 @@ use crate::stats::{ClusterStats, NodeStats};
 /// ```
 pub struct SssCluster {
     config: SssConfig,
-    transport: Arc<ChannelTransport<SssMessage>>,
+    host: ClusterHost<SssMessage>,
     nodes: Vec<Arc<SssNode>>,
-    runtimes: Mutex<Vec<NodeRuntime>>,
-    injector: Option<Arc<FaultInjector>>,
     /// Recovery tasks spawned by the restart hook (threaded runtime only;
     /// under the simulator recovery runs as a non-daemon sim task whose
     /// completion quiescence already waits for). Joined at shutdown.
@@ -59,74 +56,19 @@ impl SssCluster {
     /// Currently infallible in practice, but kept fallible for forward
     /// compatibility (e.g. resource exhaustion while spawning workers).
     pub fn start(config: SssConfig) -> Result<Self, SssError> {
-        let injector = config.fault_injector.clone();
-        let mut transport_config = TransportConfig::new(config.nodes)
-            .latency(config.latency)
-            .seed(config.seed);
-        // The reliable-delivery layer is enabled on explicit request or
-        // automatically whenever the fault plan can actually lose messages
-        // (link loss, or crash windows that purge mailboxes) — running such
-        // a plan on the bare transport would wedge the protocol by design.
-        let needs_reliable = config.reliable_delivery
-            || injector
-                .as_ref()
-                .is_some_and(|i| i.fault_plan().needs_reliable_delivery());
-        if needs_reliable {
-            transport_config = transport_config.reliable(ReliabilityConfig::default());
-        }
-        if let Some(injector) = &injector {
-            transport_config =
-                transport_config.interposer(Arc::clone(injector) as Arc<dyn FaultInterposer>);
-        }
-        if let Some(scheduler) = &config.scheduler {
-            transport_config = transport_config.scheduler(Arc::clone(scheduler));
-            if let Some(injector) = &injector {
-                injector.set_scheduler(Arc::clone(scheduler));
-            }
-        }
-        let transport = Arc::new(ChannelTransport::new(transport_config));
-        // Per-kind message accounting: every send is attributed to its
-        // protocol message type, so harnesses can attribute round-reduction
-        // wins per kind.
-        transport.set_message_classifier(|message: &SssMessage| message.kind_index());
-        if let Some(injector) = &injector {
-            injector.attach_pause_controls(
-                (0..config.nodes)
-                    .map(|i| transport.mailbox(NodeId(i)).pause_control())
-                    .collect(),
-            );
-        }
-        let nodes: Vec<Arc<SssNode>> = (0..config.nodes)
+        let host = ClusterHost::new(&config.cluster, SssMessage::kind_index);
+        let nodes: Vec<Arc<SssNode>> = (0..config.cluster.nodes)
             .map(|i| {
                 Arc::new(SssNode::new(
                     NodeId(i),
                     config.clone(),
-                    Arc::clone(&transport),
+                    Arc::clone(host.transport()),
                 ))
             })
             .collect();
-        // Self-addressed messages (the coordinator is its own participant,
-        // confirmation rounds cover every node) skip the mailbox and run
-        // the handler on the sending thread via the transport's local
-        // fast path — registered before the workers start so the path is
-        // available from the first send.
-        // The closure captures a `Weak` handle: the node itself holds the
-        // transport, so a strong capture would form an `Arc` cycle and leak
-        // every node (and its stores) when the cluster is dropped.
-        for node in &nodes {
-            let handler = Arc::downgrade(node);
-            transport.set_local_dispatch(
-                node.id(),
-                Arc::new(move |envelope| {
-                    if let Some(node) = handler.upgrade() {
-                        node.handle(envelope);
-                    }
-                }),
-            );
-        }
         let recovery_threads: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
             Arc::new(Mutex::new(Vec::new()));
-        if let Some(injector) = &injector {
+        if let Some(injector) = &config.cluster.fault_injector {
             // Crash-stop hook: a crash purges the node's mailbox (undelivered
             // messages stay outstanding in the reliable layer and are
             // retransmitted after restart) and wipes its volatile protocol
@@ -140,8 +82,8 @@ impl SssCluster {
             // cluster.
             let hook_nodes: Vec<std::sync::Weak<SssNode>> =
                 nodes.iter().map(Arc::downgrade).collect();
-            let hook_transport = Arc::downgrade(&transport);
-            let hook_scheduler = config.scheduler.clone();
+            let hook_transport = Arc::downgrade(host.transport());
+            let hook_scheduler = config.cluster.scheduler.clone();
             let hook_recovery = Arc::clone(&recovery_threads);
             injector.attach_crash_hook(Arc::new(move |index, down| {
                 let (Some(node), Some(transport)) = (
@@ -177,24 +119,11 @@ impl SssCluster {
                 }
             }));
         }
-        let runtimes = nodes
-            .iter()
-            .map(|node| {
-                NodeRuntime::spawn_batched(
-                    node.id(),
-                    transport.mailbox(node.id()),
-                    Arc::clone(node),
-                    config.workers_per_node,
-                    config.delivery_batch,
-                )
-            })
-            .collect();
+        host.start(&nodes);
         Ok(SssCluster {
             config,
-            transport,
+            host,
             nodes,
-            runtimes: Mutex::new(runtimes),
-            injector,
             recovery_threads,
         })
     }
@@ -243,11 +172,7 @@ impl SssCluster {
     /// Aggregated mailbox traffic counters summed over every node, for
     /// per-window message accounting by benchmark harnesses.
     pub fn mailbox_totals(&self) -> sss_net::MailboxStats {
-        let mut total = sss_net::MailboxStats::default();
-        for node in &self.nodes {
-            total.merge(&self.transport.mailbox_stats(node.id()));
-        }
-        total
+        self.host.mailbox_totals()
     }
 
     /// Total number of snapshot-queue entries across the cluster
@@ -277,14 +202,7 @@ impl SssCluster {
     /// [`SssConfig::observability`]): phase traces, per-phase latency
     /// histograms and the per-node trace rings.
     pub fn observability(&self) -> Option<std::sync::Arc<sss_obs::ObsHub>> {
-        self.config.observability.clone()
-    }
-
-    /// The fault injector the cluster was started under, if any. Arm it
-    /// once the key space is populated so that the plan's scheduled windows
-    /// cover the measured phase.
-    pub fn fault_injector(&self) -> Option<&Arc<FaultInjector>> {
-        self.injector.as_ref()
+        self.config.cluster.observability.clone()
     }
 
     /// Per-node liveness classification for stuck-run reports: `Crashed`
@@ -299,13 +217,16 @@ impl SssCluster {
             .map(|(index, node)| {
                 let crashed = !node.is_available()
                     || self
-                        .injector
+                        .config
+                        .cluster
+                        .fault_injector
                         .as_ref()
                         .is_some_and(|i| i.is_node_crashed(index));
                 if crashed {
                     sss_obs::NodeLiveness::Crashed
                 } else if self
-                    .transport
+                    .host
+                    .transport()
                     .mailbox(NodeId(index))
                     .pause_control()
                     .is_paused()
@@ -327,7 +248,7 @@ impl SssCluster {
         let mut out = String::new();
         for node in &self.nodes {
             let id = node.id();
-            let mailbox = self.transport.mailbox(id);
+            let mailbox = self.host.transport().mailbox(id);
             let stats = mailbox.stats();
             let _ = writeln!(
                 out,
@@ -350,14 +271,7 @@ impl SssCluster {
     /// Shuts the cluster down: disarms any fault injector, closes the
     /// transport and joins every worker. Idempotent.
     pub fn shutdown(&self) {
-        if let Some(injector) = &self.injector {
-            injector.disarm();
-        }
-        self.transport.shutdown();
-        let runtimes = std::mem::take(&mut *self.runtimes.lock());
-        for runtime in runtimes {
-            runtime.join();
-        }
+        self.host.shutdown();
         // Joined after the transport shutdown: a recovery round still
         // waiting for peer replies unblocks as soon as its channels die.
         let recoveries = std::mem::take(&mut *self.recovery_threads.lock());
@@ -377,7 +291,7 @@ impl std::fmt::Debug for SssCluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SssCluster")
             .field("nodes", &self.nodes.len())
-            .field("replication", &self.config.replication)
+            .field("replication", &self.config.cluster.replication)
             .finish()
     }
 }

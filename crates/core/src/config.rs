@@ -3,11 +3,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use sss_faults::{FaultInjector, FaultPlan};
-use sss_net::LatencyModel;
+use sss_faults::FaultInjector;
+use sss_net::{ClusterConfig, LatencyModel};
 use sss_obs::ObsHub;
 use sss_storage::ReplicaMap;
-use sss_vclock::runtime::SchedulerHandle;
 
 /// Default epoch window of the grouped external-commit confirmation: up to
 /// this many update transactions share one `ConfirmExternal` round.
@@ -24,12 +23,10 @@ pub const DEFAULT_CONFIRM_LINGER: Duration = Duration::from_micros(800);
 /// (paper §V), and clients are colocated with nodes.
 #[derive(Debug, Clone)]
 pub struct SssConfig {
-    /// Number of nodes in the cluster.
-    pub nodes: usize,
-    /// Replication degree (replicas per key).
-    pub replication: usize,
-    /// Worker threads per node draining the priority mailbox.
-    pub workers_per_node: usize,
+    /// The settings every engine shares: cluster shape, worker pools,
+    /// network model, observability hub, simulation scheduler and fault
+    /// injector.
+    pub cluster: ClusterConfig,
     /// Lock-acquisition timeout used during the 2PC prepare phase.
     pub lock_timeout: Duration,
     /// How long a coordinator waits for 2PC votes before aborting.
@@ -40,10 +37,6 @@ pub struct SssConfig {
     /// This covers the snapshot-queue wait of the Pre-Commit phase, so it is
     /// deliberately generous.
     pub ack_timeout: Duration,
-    /// One-way network latency model.
-    pub latency: LatencyModel,
-    /// Seed for latency sampling.
-    pub seed: u64,
     /// Number of internal-commit records each node retains for the
     /// `VisibleSet` computation.
     pub nlog_capacity: usize,
@@ -69,19 +62,6 @@ pub struct SssConfig {
     // (e.g. client-side exclusion sets) so the paper's strict
     // completion-order property also holds unconditionally.
     pub precommit_hold_max: Duration,
-    /// Optional fault injector interposed on the cluster transport and
-    /// attached to the per-node pause gates. Inert until armed — see
-    /// [`SssConfig::faults`].
-    pub fault_injector: Option<Arc<FaultInjector>>,
-    /// Shard arity of every node's storage structures (multi-version store
-    /// and lock table). Rounded up to a power of two; higher values reduce
-    /// contention between a node's worker threads at a small memory cost.
-    pub storage_shards: usize,
-    /// Messages a node worker drains from its mailbox per wakeup (clamped
-    /// to at least 1). Batch size 1 reproduces one-message-per-wakeup
-    /// delivery; larger values amortize the per-message wakeup and lock
-    /// cost under load without affecting protocol behaviour.
-    pub delivery_batch: usize,
     /// Maximum number of update transactions covered by one grouped
     /// `ConfirmExternal` round (the coordinator *epoch window*). Values `<=
     /// 1` disable grouping entirely and reproduce the per-transaction
@@ -103,22 +83,6 @@ pub struct SssConfig {
     /// unchanged. Zero disables lingering; values are only meaningful when
     /// `confirm_epoch_max > 1`.
     pub confirm_linger: Duration,
-    /// Optional observability hub: when set, client sessions carry a
-    /// phase trace through every transaction (spans recorded into the
-    /// hub's per-node trace rings and per-phase latency histograms). When
-    /// `None` — the default — every instrumentation site reduces to one
-    /// branch, keeping the tracing-off cost near zero.
-    pub observability: Option<Arc<ObsHub>>,
-    /// Force-enables the transport's reliable-delivery layer (per-link
-    /// sequence numbers, ack/retransmit with seeded backoff, receiver-side
-    /// dedup — see [`sss_net::ReliabilityConfig`]). Off by default: the
-    /// bare transport never loses messages, and leaving the layer off keeps
-    /// the handler-level idempotency guards exercised by duplicate faults.
-    /// The cluster enables the layer automatically whenever its fault
-    /// plan expresses message loss or crash windows
-    /// ([`sss_faults::FaultPlan::needs_reliable_delivery`]), regardless of
-    /// this flag.
-    pub reliable_delivery: bool,
     /// How long a restarting node waits for its peers' `StateReply` before
     /// coming back available anyway. Peer answers re-establish the node's
     /// `confirmed_vc` (wiped by the crash); a peer that is itself down when
@@ -144,12 +108,6 @@ pub struct SssConfig {
     /// [`SssError::NodeUnavailable`](crate::SssError::NodeUnavailable).
     /// Sized so the retries ride out a typical scheduled crash window.
     pub unavailable_retry_max: u32,
-    /// Optional deterministic-simulation scheduler (see `sss-sim`). When
-    /// set, the transport delivers messages as virtual-time events, node
-    /// workers run as cooperative simulation tasks, and any fault plan's
-    /// windows are scheduled on the virtual clock. When `None` — the
-    /// default — the cluster runs on real threads and the wall clock.
-    pub scheduler: Option<SchedulerHandle>,
 }
 
 impl SssConfig {
@@ -160,67 +118,54 @@ impl SssConfig {
     ///
     /// Panics if `nodes` is zero.
     pub fn new(nodes: usize) -> Self {
-        assert!(nodes > 0, "cluster must have at least one node");
+        Self::on(ClusterConfig::new(nodes))
+    }
+
+    /// The paper's protocol defaults on the given shared cluster settings.
+    pub fn on(cluster: ClusterConfig) -> Self {
         SssConfig {
-            nodes,
-            replication: 2.min(nodes),
-            workers_per_node: 4,
+            cluster,
             lock_timeout: Duration::from_millis(1),
             vote_timeout: Duration::from_secs(1),
             read_timeout: Duration::from_secs(1),
             ack_timeout: Duration::from_secs(10),
-            latency: LatencyModel::ZERO,
-            seed: 0,
             nlog_capacity: 4096,
             versions_per_key: 64,
             admission_threshold: Duration::from_millis(2),
             admission_backoff: Duration::from_micros(250),
             admission_max_retries: 5,
             precommit_hold_max: Duration::from_millis(250),
-            fault_injector: None,
-            storage_shards: sss_storage::DEFAULT_SHARDS,
-            delivery_batch: sss_net::DEFAULT_DELIVERY_BATCH,
             confirm_epoch_max: DEFAULT_CONFIRM_EPOCH,
             piggyback: true,
             confirm_linger: DEFAULT_CONFIRM_LINGER,
-            observability: None,
-            reliable_delivery: false,
             recovery_timeout: Duration::from_secs(1),
             pending_global_hold_max: Duration::from_secs(30),
             unavailable_retry_max: 100,
-            scheduler: None,
         }
     }
 
-    /// Runs the cluster under `plan`: a [`FaultInjector`] is created,
-    /// interposed on the transport and attached to every node's pause gate.
+    /// Runs the cluster under a caller-owned [`FaultInjector`]: it is
+    /// interposed on the transport and attached to every node's pause gate
+    /// and crash hook.
     ///
-    /// The plan is **inert until armed**: call
-    /// [`SssCluster::fault_injector`](crate::SssCluster::fault_injector)
-    /// and [`FaultInjector::arm`] once the cluster is populated, so the
-    /// plan's scheduled windows cover the measured phase instead of the
+    /// The injector is **inert until armed**: the caller keeps the handle
+    /// and calls [`FaultInjector::arm`] once the cluster is populated, so
+    /// the plan's scheduled windows cover the measured phase instead of the
     /// warm-up. Cluster shutdown disarms the injector.
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.fault_injector = Some(FaultInjector::new(plan));
-        self
-    }
-
-    /// Like [`SssConfig::faults`] but with a caller-owned injector, so a
-    /// harness can keep the handle and arm it at the right moment.
     pub fn fault_injector(mut self, injector: Arc<FaultInjector>) -> Self {
-        self.fault_injector = Some(injector);
+        self.cluster.fault_injector = Some(injector);
         self
     }
 
     /// Sets the replication degree.
     pub fn replication(mut self, degree: usize) -> Self {
-        self.replication = degree;
+        self.cluster.replication = degree;
         self
     }
 
     /// Sets the number of worker threads per node.
     pub fn workers_per_node(mut self, workers: usize) -> Self {
-        self.workers_per_node = workers;
+        self.cluster.workers_per_node = workers;
         self
     }
 
@@ -232,41 +177,13 @@ impl SssConfig {
 
     /// Sets the network latency model.
     pub fn latency(mut self, latency: LatencyModel) -> Self {
-        self.latency = latency;
+        self.cluster.latency = latency;
         self
     }
 
     /// Sets the random seed used by the latency model.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the shard arity of every node's storage structures (rounded up
-    /// to a power of two at construction).
-    pub fn storage_shards(mut self, shards: usize) -> Self {
-        self.storage_shards = shards;
-        self
-    }
-
-    /// Sets the per-wakeup mailbox delivery batch size of every node's
-    /// workers (clamped to at least 1).
-    pub fn delivery_batch(mut self, batch: usize) -> Self {
-        self.delivery_batch = batch;
-        self
-    }
-
-    /// Sets the epoch window of the grouped external-commit confirmation
-    /// (`<= 1` disables grouping, reproducing per-transaction rounds).
-    pub fn confirm_epoch_max(mut self, window: usize) -> Self {
-        self.confirm_epoch_max = window;
-        self
-    }
-
-    /// Enables or disables piggybacking release/remove traffic on grouped
-    /// confirmation rounds.
-    pub fn piggyback(mut self, enabled: bool) -> Self {
-        self.piggyback = enabled;
+        self.cluster.seed = seed;
         self
     }
 
@@ -280,15 +197,7 @@ impl SssConfig {
     /// Attaches an observability hub: sessions trace protocol phases into
     /// its rings and histograms (see [`sss_obs::ObsHub`]).
     pub fn observability(mut self, hub: Arc<ObsHub>) -> Self {
-        self.observability = Some(hub);
-        self
-    }
-
-    /// Force-enables the transport's reliable-delivery layer (see the
-    /// field documentation; plans with loss or crash windows enable it
-    /// automatically).
-    pub fn reliable_delivery(mut self, enabled: bool) -> Self {
-        self.reliable_delivery = enabled;
+        self.cluster.observability = Some(hub);
         self
     }
 
@@ -305,17 +214,9 @@ impl SssConfig {
         self
     }
 
-    /// Runs the cluster under a deterministic-simulation scheduler: message
-    /// delivery, worker execution and every protocol timeout move in virtual
-    /// time (see `sss-sim`).
-    pub fn scheduler(mut self, scheduler: SchedulerHandle) -> Self {
-        self.scheduler = Some(scheduler);
-        self
-    }
-
     /// Builds the key-placement map described by this configuration.
     pub fn replica_map(&self) -> ReplicaMap {
-        ReplicaMap::new(self.nodes, self.replication)
+        self.cluster.replica_map()
     }
 }
 
@@ -326,11 +227,11 @@ mod tests {
     #[test]
     fn defaults_match_the_paper() {
         let cfg = SssConfig::new(5);
-        assert_eq!(cfg.nodes, 5);
-        assert_eq!(cfg.replication, 2);
-        assert_eq!(cfg.storage_shards, sss_storage::DEFAULT_SHARDS);
+        assert_eq!(cfg.cluster.nodes, 5);
+        assert_eq!(cfg.cluster.replication, 2);
+        assert_eq!(cfg.cluster.storage_shards, sss_storage::DEFAULT_SHARDS);
         assert_eq!(cfg.lock_timeout, Duration::from_millis(1));
-        assert!(cfg.latency.is_zero());
+        assert!(cfg.cluster.latency.is_zero());
         assert_eq!(cfg.replica_map().degree(), 2);
         assert_eq!(cfg.confirm_epoch_max, DEFAULT_CONFIRM_EPOCH);
         assert!(cfg.piggyback);
@@ -340,7 +241,7 @@ mod tests {
     #[test]
     fn single_node_cluster_caps_replication() {
         let cfg = SssConfig::new(1);
-        assert_eq!(cfg.replication, 1);
+        assert_eq!(cfg.cluster.replication, 1);
     }
 
     #[test]
@@ -351,11 +252,11 @@ mod tests {
             .lock_timeout(Duration::from_millis(5))
             .latency(LatencyModel::cloudlab_like())
             .seed(99);
-        assert_eq!(cfg.replication, 3);
-        assert_eq!(cfg.workers_per_node, 2);
+        assert_eq!(cfg.cluster.replication, 3);
+        assert_eq!(cfg.cluster.workers_per_node, 2);
         assert_eq!(cfg.lock_timeout, Duration::from_millis(5));
-        assert_eq!(cfg.seed, 99);
-        assert!(!cfg.latency.is_zero());
+        assert_eq!(cfg.cluster.seed, 99);
+        assert!(!cfg.cluster.latency.is_zero());
     }
 
     #[test]
@@ -366,9 +267,10 @@ mod tests {
 
     #[test]
     fn fault_plans_create_an_inert_injector() {
-        let cfg = SssConfig::new(2).faults(FaultPlan::new(3));
-        let injector = cfg.fault_injector.as_ref().expect("injector created");
+        let injector = FaultInjector::new(sss_faults::FaultPlan::new(3));
+        let cfg = SssConfig::new(2).fault_injector(Arc::clone(&injector));
+        assert!(cfg.cluster.fault_injector.is_some(), "injector wired");
         assert!(!injector.is_armed(), "plans must stay inert until armed");
-        assert!(SssConfig::new(2).fault_injector.is_none());
+        assert!(SssConfig::new(2).cluster.fault_injector.is_none());
     }
 }

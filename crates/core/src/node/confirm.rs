@@ -122,7 +122,7 @@ impl SssNode {
     /// piggyback payloads) drain. Runs on the committing client's thread —
     /// never on a mailbox worker, which must not block on acks.
     fn run_confirm_rounds(&self) {
-        let all_nodes = self.config().nodes;
+        let all_nodes = self.config().cluster.nodes;
         let window = self.config().confirm_epoch_max.max(1);
         let piggyback = self.config().piggyback;
         let linger = self.config().confirm_linger;

@@ -72,14 +72,14 @@ impl SssNode {
         transport: Arc<ChannelTransport<SssMessage>>,
     ) -> Self {
         let replicas = config.replica_map();
-        let state = NodeState::new(id.index(), config.nodes, config.nlog_capacity);
+        let state = NodeState::new(id.index(), config.cluster.nodes, config.nlog_capacity);
         SssNode {
             id,
             replicas,
             transport,
             state: Mutex::new(state),
-            store: MvStore::with_shards(config.storage_shards),
-            locks: LockTable::with_shards(config.storage_shards),
+            store: MvStore::with_shards(config.cluster.storage_shards),
+            locks: LockTable::with_shards(config.cluster.storage_shards),
             counters: NodeCounters::default(),
             next_txn_seq: AtomicU64::new(0),
             confirm: confirm::ConfirmCoalescer::default(),
@@ -125,7 +125,7 @@ impl SssNode {
         state.waiting_external.clear();
         state.squeues = crate::squeue::SnapshotQueues::new();
         state.ro_forward_targets.clear();
-        state.confirmed_vc = VectorClock::new(self.config.nodes);
+        state.confirmed_vc = VectorClock::new(self.config.cluster.nodes);
         drop(state);
         self.confirm.reset();
     }
@@ -140,7 +140,7 @@ impl SssNode {
     /// back with whatever subset it merged (the same guarantee degradation
     /// as a confirmation-round timeout).
     pub(crate) fn recover_from_peers(&self) {
-        let peers: Vec<NodeId> = (0..self.config.nodes)
+        let peers: Vec<NodeId> = (0..self.config.cluster.nodes)
             .map(NodeId)
             .filter(|n| *n != self.id)
             .collect();
@@ -157,8 +157,8 @@ impl SssNode {
                 .is_ok();
             if sent {
                 let deadline = sss_vclock::runtime::now() + self.config.recovery_timeout;
-                let mut merged = VectorClock::new(self.config.nodes);
-                let mut seen = vec![false; self.config.nodes];
+                let mut merged = VectorClock::new(self.config.cluster.nodes);
+                let mut seen = vec![false; self.config.cluster.nodes];
                 let mut distinct = 0;
                 while distinct < peers.len() {
                     let remaining = deadline.saturating_duration_since(sss_vclock::runtime::now());
@@ -409,8 +409,8 @@ impl std::fmt::Debug for SssNode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SssNode")
             .field("id", &self.id)
-            .field("nodes", &self.config.nodes)
-            .field("replication", &self.config.replication)
+            .field("nodes", &self.config.cluster.nodes)
+            .field("replication", &self.config.cluster.replication)
             .finish()
     }
 }

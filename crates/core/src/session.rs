@@ -53,6 +53,7 @@ impl Session {
     pub(crate) fn new(node: Arc<SssNode>) -> Self {
         let obs = node
             .config()
+            .cluster
             .observability
             .as_ref()
             .map(|hub| (Arc::clone(hub), hub.next_lane()));
@@ -78,7 +79,7 @@ impl Session {
             node: Arc::clone(&self.node),
             id,
             vc,
-            has_read: vec![false; self.node.config().nodes],
+            has_read: vec![false; self.node.config().cluster.nodes],
             read_set: Vec::new(),
             write_set: BTreeMap::new(),
             propagated: Vec::new(),
@@ -94,7 +95,7 @@ impl Session {
             node: Arc::clone(&self.node),
             id,
             vc: None,
-            has_read: vec![false; self.node.config().nodes],
+            has_read: vec![false; self.node.config().cluster.nodes],
             read_keys: Vec::new(),
             excluded: Vec::new(),
             finished: false,
@@ -452,7 +453,7 @@ impl UpdateTransaction {
         // coordinator gave up waiting — by then the system has been wedged
         // for the whole (very generous) ack timeout and consistency is
         // best-effort anyway.
-        let all_nodes = node.config().nodes;
+        let all_nodes = node.config().cluster.nodes;
         if let Some(trace) = trace.as_mut() {
             trace.enter(Phase::ConfirmWait);
         }

@@ -133,7 +133,7 @@ mod tests {
 
     #[test]
     fn bindings_forward_to_the_adapters() {
-        let engine = SssEngine::start(2, 1);
+        let engine = SssEngine::with_config(sss_core::SssConfig::new(2).replication(1));
         let dynamic: &dyn TransactionEngine = &engine;
         assert_eq!(dynamic.name(), "SSS");
         assert_eq!(dynamic.nodes(), 2);
@@ -145,7 +145,7 @@ mod tests {
 
     #[test]
     fn observed_reads_report_the_values_seen() {
-        let engine = SssEngine::start(2, 1);
+        let engine = SssEngine::with_config(sss_core::SssConfig::new(2).replication(1));
         let dynamic: &dyn TransactionEngine = &engine;
         let mut session = dynamic.session(0);
         session.run_update(&[], &[(Key::new("k"), Value::from_u64(7))]);
@@ -160,7 +160,7 @@ mod tests {
 
     #[test]
     fn sss_exposes_diagnostics() {
-        let engine = SssEngine::start(2, 1);
+        let engine = SssEngine::with_config(sss_core::SssConfig::new(2).replication(1));
         let dynamic: &dyn TransactionEngine = &engine;
         let report = dynamic.diagnostics().expect("SSS has diagnostics");
         assert!(report.contains("node 0"), "unexpected report: {report}");

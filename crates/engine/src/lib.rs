@@ -8,10 +8,12 @@
 //!   [`TransactionEngine`], [`EngineSession`] and [`TxnOutcome`];
 //! * the **registry**: [`EngineKind`] enumerates the engines and
 //!   [`EngineKind::build`] constructs any of them behind a
-//!   `Box<dyn TransactionEngine>`, parameterized only by node count,
-//!   replication degree and a [`NetProfile`];
-//!   [`EngineKind::build_faulted`] / [`EngineKind::build_with_injector`]
-//!   additionally place the engine under an `sss-faults` [`FaultPlan`];
+//!   `Box<dyn TransactionEngine>` from one [`EngineSpec`]: node count,
+//!   replication degree, [`NetProfile`], the storage/delivery/confirmation
+//!   knobs, observability, and optionally an `sss-faults` [`FaultInjector`]
+//!   and a simulation scheduler. Every engine boots on the same `sss-net`
+//!   cluster host, so the profile's latency and the injector's faults
+//!   reach all four alike;
 //! * the **trait bindings** that hook each engine's adapter (which lives in
 //!   the crate owning that engine: `sss-core` ships the SSS adapter,
 //!   `sss-baselines` ships the 2PC/Walter/ROCOCO adapters) onto the trait.
@@ -27,9 +29,9 @@
 //! single construction path:
 //!
 //! ```rust
-//! use sss_engine::{EngineKind, NetProfile};
+//! use sss_engine::{EngineKind, EngineSpec};
 //!
-//! let engine = EngineKind::Sss.build(3, 2, NetProfile::Instant);
+//! let engine = EngineKind::Sss.build(EngineSpec::new(3, 2)).unwrap();
 //! let mut session = engine.session(0);
 //! let outcome = session.run_update(&[], &[("k".into(), b"v".to_vec().into())]);
 //! assert!(outcome.is_committed());
@@ -41,7 +43,7 @@ mod registry;
 mod traits;
 
 pub use profile::NetProfile;
-pub use registry::{EngineKind, EngineTuning, ParseEngineKindError};
+pub use registry::{BuildError, EngineKind, EngineSpec, ParseEngineKindError};
 pub use traits::{EngineSession, TransactionEngine, TxnOutcome};
 
 pub use sss_core::DEFAULT_CONFIRM_EPOCH;

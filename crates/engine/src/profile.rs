@@ -6,17 +6,15 @@ use sss_net::LatencyModel;
 
 /// One-way message-delay profile of the cluster an engine is built on.
 ///
-/// Only SSS consumes the *latency* part today: it injects the profile's
-/// delay into every message. The baseline engines (2PC, Walter, ROCOCO)
-/// run on the same `sss-net` transport but accept the profile for
-/// interface uniformity without applying its latency — the paper's
-/// comparison likewise runs every engine on the same (fast) interconnect.
+/// Every engine applies it: the registry hands its latency model to the
+/// shared `sss-net` cluster host, which injects the delay into every
+/// message of SSS and of the three baselines alike.
 ///
 /// The profile describes the network's *steady-state* delay; adversarial
 /// behaviour (delay spikes, reordering, duplication, partitions, pauses)
-/// is layered on top by an `sss-faults` fault plan via
-/// [`EngineKind::build_faulted`](crate::EngineKind::build_faulted) — each
-/// message's total delay is the profile sample plus the fault plan's extra.
+/// is layered on top by an `sss-faults` fault plan through
+/// [`EngineSpec::injector`](crate::EngineSpec::injector) — each message's
+/// total delay is the profile sample plus the fault plan's extra.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NetProfile {
     /// Messages are delivered immediately (the benchmark default, so that

@@ -9,92 +9,107 @@ use sss_baselines::twopc::TwoPcConfig;
 use sss_baselines::walter::WalterConfig;
 use sss_core::adapter::SssEngine;
 use sss_core::SssConfig;
-use sss_faults::{FaultInjector, FaultPlan};
-use sss_sim::SimRuntime;
+use sss_faults::FaultInjector;
+use sss_net::{ClusterConfig, FaultInterposer};
+use sss_obs::ObsHub;
 use sss_vclock::runtime::SchedulerHandle;
 
 use crate::profile::NetProfile;
 use crate::traits::TransactionEngine;
 
-/// Engine-independent tuning knobs threaded through the registry into each
-/// engine's own configuration type.
+/// Everything [`EngineKind::build`] needs to construct an engine.
 ///
-/// Every field defaults to "engine decides": `EngineTuning::default()`
-/// reproduces exactly what [`EngineKind::build`] constructs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineTuning {
+/// `EngineSpec::new(nodes, replication)` reproduces each engine's defaults;
+/// the remaining fields are public and set with struct-update syntax:
+///
+/// ```rust
+/// use sss_engine::{EngineKind, EngineSpec};
+///
+/// let spec = EngineSpec {
+///     delivery_batch: 1,
+///     ..EngineSpec::new(3, 2)
+/// };
+/// let engine = EngineKind::TwoPc.build(spec).expect("no crash windows");
+/// assert_eq!(engine.nodes(), 3);
+/// ```
+#[derive(Debug, Clone)]
+pub struct EngineSpec {
+    /// Cluster size.
+    pub nodes: usize,
+    /// Replicas per key; ROCOCO ignores it (the paper's comparison always
+    /// runs ROCOCO unreplicated).
+    pub replication: usize,
+    /// Steady-state message-delay model, applied to every engine.
+    pub profile: NetProfile,
     /// Shard arity of every node's storage structures (stores and lock
-    /// tables); `None` keeps each engine's default
-    /// (`sss_storage::DEFAULT_SHARDS`). Rounded up to a power of two.
-    pub storage_shards: Option<usize>,
-    /// Messages a node worker drains from its mailbox per wakeup; `None`
-    /// keeps each engine's default (`sss_net::DEFAULT_DELIVERY_BATCH`).
-    /// Clamped to at least 1; batch size 1 reproduces
-    /// one-message-per-wakeup delivery.
-    pub delivery_batch: Option<usize>,
+    /// tables). Rounded up to a power of two.
+    pub storage_shards: usize,
+    /// Messages a node worker drains from its mailbox per wakeup. Clamped
+    /// to at least 1; batch size 1 reproduces one-message-per-wakeup
+    /// delivery.
+    pub delivery_batch: usize,
     /// Epoch window of SSS's grouped external-commit confirmation: up to
-    /// this many update transactions share one `ConfirmExternal` round.
-    /// `Some(w)` with `w <= 1` disables grouping (per-transaction rounds);
-    /// `None` keeps the engine's default
-    /// (`sss_core::DEFAULT_CONFIRM_EPOCH`). Ignored by the baselines.
-    pub confirm_epoch: Option<usize>,
+    /// this many update transactions share one `ConfirmExternal` round;
+    /// `<= 1` disables grouping. Ignored by the baselines.
+    pub confirm_epoch: usize,
     /// Whether SSS piggybacks `ReleaseExternal`/`Remove` traffic on grouped
-    /// confirmation rounds; `None` keeps the engine's default (enabled).
-    /// Ignored by the baselines.
-    pub piggyback: Option<bool>,
-    /// Whether the registry attaches an observability hub
-    /// ([`sss_obs::ObsHub`]) to the engine: per-transaction phase tracing,
-    /// per-phase latency histograms and per-node trace rings. Off by
-    /// default — tracing-off engines pay one branch per instrumentation
-    /// site. Retrieve the hub through
+    /// confirmation rounds. Ignored by the baselines.
+    pub piggyback: bool,
+    /// Attach an observability hub ([`sss_obs::ObsHub`]): per-transaction
+    /// phase tracing, per-phase latency histograms and per-node trace
+    /// rings. Retrieve it through
     /// [`TransactionEngine::observability`](crate::TransactionEngine::observability).
     pub observability: bool,
+    /// Caller-owned fault injector, interposed on the engine's transport
+    /// and attached to its pause gates. It is **not** armed: the caller
+    /// arms it once the warm-up is done, so the plan's scheduled windows
+    /// cover the measured phase.
+    pub injector: Option<Arc<FaultInjector>>,
+    /// Deterministic-simulation scheduler: message delivery, worker
+    /// execution, protocol timeouts and fault windows move in virtual time.
+    /// Drive work through [`sss_sim::SimRuntime::block_on`].
+    pub scheduler: Option<SchedulerHandle>,
 }
 
-impl EngineTuning {
-    /// Tuning that only overrides the storage shard arity.
-    pub fn with_storage_shards(shards: usize) -> Self {
-        EngineTuning {
-            storage_shards: Some(shards),
-            ..EngineTuning::default()
+impl EngineSpec {
+    /// `nodes` nodes with `replication` replicas per key, the instant
+    /// network, and every other knob at its default.
+    pub fn new(nodes: usize, replication: usize) -> Self {
+        EngineSpec {
+            nodes,
+            replication,
+            profile: NetProfile::Instant,
+            storage_shards: sss_storage::DEFAULT_SHARDS,
+            delivery_batch: sss_net::DEFAULT_DELIVERY_BATCH,
+            confirm_epoch: sss_core::DEFAULT_CONFIRM_EPOCH,
+            piggyback: true,
+            observability: false,
+            injector: None,
+            scheduler: None,
         }
-    }
-
-    /// Tuning that only overrides the per-wakeup delivery batch size.
-    pub fn with_delivery_batch(batch: usize) -> Self {
-        EngineTuning {
-            delivery_batch: Some(batch),
-            ..EngineTuning::default()
-        }
-    }
-
-    /// Sets the per-wakeup delivery batch size, keeping other knobs.
-    pub fn delivery_batch(mut self, batch: usize) -> Self {
-        self.delivery_batch = Some(batch);
-        self
-    }
-
-    /// Sets SSS's grouped-confirmation epoch window (`<= 1` disables
-    /// grouping), keeping other knobs.
-    pub fn confirm_epoch(mut self, window: usize) -> Self {
-        self.confirm_epoch = Some(window);
-        self
-    }
-
-    /// Enables or disables SSS's release/remove piggybacking, keeping other
-    /// knobs.
-    pub fn piggyback(mut self, enabled: bool) -> Self {
-        self.piggyback = Some(enabled);
-        self
-    }
-
-    /// Enables or disables phase tracing / observability, keeping other
-    /// knobs.
-    pub fn observability(mut self, enabled: bool) -> Self {
-        self.observability = enabled;
-        self
     }
 }
+
+/// Why [`EngineKind::build`] refused a spec.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BuildError {
+    /// The fault plan has crash windows but the engine has no crash
+    /// recovery (only SSS restarts crashed nodes).
+    CrashUnsupported(EngineKind),
+}
+
+impl std::fmt::Display for BuildError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BuildError::CrashUnsupported(kind) => write!(
+                f,
+                "{kind} has no crash recovery: its fault plan may not contain crash windows"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for BuildError {}
 
 /// Which engine an experiment runs against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -129,226 +144,57 @@ impl EngineKind {
         }
     }
 
-    /// Builds this engine on a cluster of `nodes` nodes.
-    ///
-    /// `replication` is the number of replicas per key; the ROCOCO engine
-    /// ignores it (the paper's comparison always runs ROCOCO without
-    /// replication). `net_profile` selects the message-delay model; only
-    /// message-passing engines consume it (see [`NetProfile`]).
+    /// Builds this engine as `spec` describes, behind a
+    /// `Box<dyn TransactionEngine>`.
     ///
     /// This factory is the only way the rest of the workspace constructs an
     /// engine — the workload driver, the figure sweeps, the examples and
     /// the integration tests all go through it, so adding an engine means
-    /// adding a variant here and an adapter in the crate that owns it.
+    /// adding a variant here and an adapter in the crate that owns it. All
+    /// four engines boot on the same `sss-net` cluster host, so the
+    /// profile's latency and the injector's faults reach each of them
+    /// alike.
+    ///
+    /// # Errors
+    ///
+    /// [`BuildError::CrashUnsupported`] when a baseline is given a fault
+    /// plan with crash windows.
     ///
     /// # Panics
     ///
-    /// Panics if `nodes` is zero or the engine fails to boot (worker spawn
-    /// failure).
-    pub fn build(
-        &self,
-        nodes: usize,
-        replication: usize,
-        net_profile: NetProfile,
-    ) -> Box<dyn TransactionEngine> {
-        self.build_with_injector(nodes, replication, net_profile, None)
-    }
-
-    /// [`EngineKind::build`] under a [`FaultPlan`]: the plan is armed
-    /// immediately, so its scheduled windows are measured from the moment
-    /// the engine boots.
-    ///
-    /// Every engine runs on the `sss-net` transport, so the plan's faults
-    /// (delays, reordering, duplication, partitions, pauses) apply to SSS
-    /// and to all three baselines alike.
-    pub fn build_faulted(
-        &self,
-        nodes: usize,
-        replication: usize,
-        net_profile: NetProfile,
-        faults: FaultPlan,
-    ) -> Box<dyn TransactionEngine> {
-        let injector = FaultInjector::new(faults);
-        let engine = self.build_with_injector(nodes, replication, net_profile, Some(&injector));
-        injector.arm();
-        engine
-    }
-
-    /// [`EngineKind::build`] under a caller-owned [`FaultInjector`].
-    ///
-    /// The injector is **not** armed: the caller keeps the handle and arms
-    /// it once the warm-up (e.g. key-space population) is done, so the
-    /// plan's scheduled windows cover the measured phase. The injector is
-    /// interposed on the engine's transport and attached to its per-node
-    /// pause gates, for the baselines just like for SSS.
-    pub fn build_with_injector(
-        &self,
-        nodes: usize,
-        replication: usize,
-        net_profile: NetProfile,
-        injector: Option<&Arc<FaultInjector>>,
-    ) -> Box<dyn TransactionEngine> {
-        self.build_tuned(
-            nodes,
-            replication,
-            net_profile,
-            EngineTuning::default(),
-            injector,
-        )
-    }
-
-    /// [`EngineKind::build_with_injector`] with explicit [`EngineTuning`]:
-    /// the registry threads the engine-independent knobs (currently the
-    /// storage shard arity) into each engine's own configuration type, so
-    /// harnesses can sweep them without knowing any engine's config struct.
-    pub fn build_tuned(
-        &self,
-        nodes: usize,
-        replication: usize,
-        net_profile: NetProfile,
-        tuning: EngineTuning,
-        injector: Option<&Arc<FaultInjector>>,
-    ) -> Box<dyn TransactionEngine> {
-        self.build_tuned_on(nodes, replication, net_profile, tuning, injector, None)
-    }
-
-    /// Builds this engine under a deterministic-simulation scheduler: one
-    /// call creates the simulator (seeded with `seed`) and the engine wired
-    /// to it. Drive work through [`SimRuntime::block_on`]; the engine's
-    /// message delivery, worker execution and protocol timeouts all move in
-    /// virtual time.
-    pub fn build_sim(
-        &self,
-        nodes: usize,
-        replication: usize,
-        net_profile: NetProfile,
-        seed: u64,
-    ) -> (Arc<SimRuntime>, Box<dyn TransactionEngine>) {
-        let sim = SimRuntime::new(seed);
-        let handle = sim.handle();
-        let engine = self.build_tuned_on(
-            nodes,
-            replication,
-            net_profile,
-            EngineTuning::default(),
-            None,
-            Some(&handle),
-        );
-        (sim, engine)
-    }
-
-    /// [`EngineKind::build_tuned`] with an optional simulation scheduler:
-    /// when given, the engine's transport delivers messages as virtual-time
-    /// events, its node workers run as cooperative simulation tasks, and
-    /// any fault injector's pause windows are scheduled on the virtual
-    /// clock.
-    pub fn build_tuned_on(
-        &self,
-        nodes: usize,
-        replication: usize,
-        net_profile: NetProfile,
-        tuning: EngineTuning,
-        injector: Option<&Arc<FaultInjector>>,
-        scheduler: Option<&SchedulerHandle>,
-    ) -> Box<dyn TransactionEngine> {
-        if let (Some(injector), Some(scheduler)) = (injector, scheduler) {
-            injector.set_scheduler(Arc::clone(scheduler));
+    /// Panics if `spec.nodes` is zero or the engine fails to boot (worker
+    /// spawn failure).
+    pub fn build(&self, spec: EngineSpec) -> Result<Box<dyn TransactionEngine>, BuildError> {
+        if *self != EngineKind::Sss
+            && spec
+                .injector
+                .as_ref()
+                .is_some_and(|i| !i.fault_plan().crashes.is_empty())
+        {
+            return Err(BuildError::CrashUnsupported(*self));
         }
-        let interposer =
-            |i: &&Arc<FaultInjector>| Arc::clone(*i) as Arc<dyn sss_net::FaultInterposer>;
-        // One hub per engine instance: every session and node of this
-        // engine records into it, and harnesses retrieve it back through
-        // `TransactionEngine::observability`.
-        let hub = tuning.observability.then(|| sss_obs::ObsHub::new(nodes));
-        match self {
-            EngineKind::Sss => {
-                let mut config = SssConfig::new(nodes)
-                    .replication(replication)
-                    .latency(net_profile.latency_model());
-                if let Some(shards) = tuning.storage_shards {
-                    config = config.storage_shards(shards);
-                }
-                if let Some(batch) = tuning.delivery_batch {
-                    config = config.delivery_batch(batch);
-                }
-                if let Some(window) = tuning.confirm_epoch {
-                    config = config.confirm_epoch_max(window);
-                }
-                if let Some(enabled) = tuning.piggyback {
-                    config = config.piggyback(enabled);
-                }
-                if let Some(hub) = hub {
-                    config = config.observability(hub);
-                }
-                if let Some(injector) = injector {
-                    config = config.fault_injector(Arc::clone(injector));
-                }
-                if let Some(scheduler) = scheduler {
-                    config = config.scheduler(Arc::clone(scheduler));
-                }
-                Box::new(SssEngine::with_config(config))
-            }
-            EngineKind::TwoPc => {
-                let mut config = TwoPcConfig::new(nodes).replication(replication);
-                if let Some(shards) = tuning.storage_shards {
-                    config = config.storage_shards(shards);
-                }
-                if let Some(batch) = tuning.delivery_batch {
-                    config = config.delivery_batch(batch);
-                }
-                if let Some(hub) = hub {
-                    config = config.observability(hub);
-                }
-                if let Some(scheduler) = scheduler {
-                    config = config.scheduler(Arc::clone(scheduler));
-                }
-                let engine = TwoPcEngine::with_config(config, injector.as_ref().map(interposer));
-                if let Some(injector) = injector {
-                    injector.attach_pause_controls(engine.pause_controls());
-                }
-                Box::new(engine)
-            }
-            EngineKind::Walter => {
-                let mut config = WalterConfig::new(nodes).replication(replication);
-                if let Some(shards) = tuning.storage_shards {
-                    config = config.storage_shards(shards);
-                }
-                if let Some(batch) = tuning.delivery_batch {
-                    config = config.delivery_batch(batch);
-                }
-                if let Some(hub) = hub {
-                    config = config.observability(hub);
-                }
-                if let Some(scheduler) = scheduler {
-                    config = config.scheduler(Arc::clone(scheduler));
-                }
-                let engine = WalterEngine::with_config(config, injector.as_ref().map(interposer));
-                if let Some(injector) = injector {
-                    injector.attach_pause_controls(engine.pause_controls());
-                }
-                Box::new(engine)
-            }
-            EngineKind::Rococo => {
-                let mut config = RococoConfig::new(nodes);
-                if let Some(shards) = tuning.storage_shards {
-                    config = config.storage_shards(shards);
-                }
-                if let Some(batch) = tuning.delivery_batch {
-                    config = config.delivery_batch(batch);
-                }
-                if let Some(hub) = hub {
-                    config = config.observability(hub);
-                }
-                if let Some(scheduler) = scheduler {
-                    config = config.scheduler(Arc::clone(scheduler));
-                }
-                let engine = RococoEngine::with_config(config, injector.as_ref().map(interposer));
-                if let Some(injector) = injector {
-                    injector.attach_pause_controls(engine.pause_controls());
-                }
-                Box::new(engine)
-            }
-        }
+        let cluster = ClusterConfig {
+            replication: spec.replication,
+            storage_shards: spec.storage_shards,
+            delivery_batch: spec.delivery_batch,
+            latency: spec.profile.latency_model(),
+            // One hub per engine instance: every session and node of this
+            // engine records into it.
+            observability: spec.observability.then(|| ObsHub::new(spec.nodes)),
+            scheduler: spec.scheduler,
+            fault_injector: spec.injector.map(|i| i as Arc<dyn FaultInterposer>),
+            ..ClusterConfig::new(spec.nodes)
+        };
+        Ok(match self {
+            EngineKind::Sss => Box::new(SssEngine::with_config(SssConfig {
+                confirm_epoch_max: spec.confirm_epoch,
+                piggyback: spec.piggyback,
+                ..SssConfig::on(cluster)
+            })),
+            EngineKind::TwoPc => Box::new(TwoPcEngine::with_config(TwoPcConfig::on(cluster))),
+            EngineKind::Walter => Box::new(WalterEngine::with_config(WalterConfig::on(cluster))),
+            EngineKind::Rococo => Box::new(RococoEngine::with_config(RococoConfig::on(cluster))),
+        })
     }
 }
 

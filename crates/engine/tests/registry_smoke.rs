@@ -1,15 +1,20 @@
 //! Registry smoke test: every engine the registry knows about boots a
 //! 3-node cluster through the factory, commits one update and one read-only
 //! transaction, and SSS's read-only path never aborts (the paper's headline
-//! property).
+//! property). Every engine applies the network profile, and the baselines
+//! refuse fault plans with crash windows.
 
-use sss_engine::{EngineKind, EngineTuning, NetProfile, TxnOutcome};
-use sss_storage::{Key, Value};
+use std::time::{Duration, Instant};
+
+use sss_engine::{
+    BuildError, EngineKind, EngineSpec, FaultInjector, FaultPlan, NetProfile, TxnOutcome,
+};
+use sss_storage::{Key, ReplicaMap, Value};
 
 #[test]
 fn every_engine_kind_builds_and_commits_through_the_factory() {
     for kind in EngineKind::ALL {
-        let engine = kind.build(3, 2, NetProfile::Instant);
+        let engine = kind.build(EngineSpec::new(3, 2)).unwrap();
         assert_eq!(engine.name(), kind.label(), "registry label mismatch");
         assert_eq!(engine.nodes(), 3, "{kind}: wrong cluster size");
 
@@ -44,7 +49,7 @@ fn every_engine_kind_builds_and_commits_through_the_factory() {
 
 #[test]
 fn sss_read_only_transactions_never_abort_through_the_registry() {
-    let engine = EngineKind::Sss.build(3, 2, NetProfile::Instant);
+    let engine = EngineKind::Sss.build(EngineSpec::new(3, 2)).unwrap();
     let mut writer = engine.session(0);
     assert!(writer
         .run_update(&[], &[(Key::new("ro"), Value::from_u64(0))])
@@ -71,13 +76,12 @@ fn sss_read_only_transactions_never_abort_through_the_registry() {
 fn every_engine_honours_the_storage_shard_tuning() {
     for kind in EngineKind::ALL {
         for shards in [1usize, 4] {
-            let engine = kind.build_tuned(
-                2,
-                1,
-                NetProfile::Instant,
-                EngineTuning::with_storage_shards(shards),
-                None,
-            );
+            let engine = kind
+                .build(EngineSpec {
+                    storage_shards: shards,
+                    ..EngineSpec::new(2, 1)
+                })
+                .unwrap();
             let mut session = engine.session(0);
             assert!(
                 session
@@ -111,21 +115,80 @@ fn every_engine_honours_the_storage_shard_tuning() {
 
 #[test]
 fn engines_build_under_every_net_profile() {
-    // Only SSS consumes the profile today, but the factory must accept any
-    // combination without panicking.
     let profiles = [
         NetProfile::Instant,
         NetProfile::Uniform {
-            base: std::time::Duration::from_micros(10),
-            jitter: std::time::Duration::from_micros(5),
+            base: Duration::from_micros(10),
+            jitter: Duration::from_micros(5),
         },
     ];
-    for profile in profiles {
-        let engine = EngineKind::Sss.build(2, 1, profile);
-        let mut session = engine.session(0);
-        assert!(session
-            .run_update(&[], &[(Key::new("p"), Value::from_u64(1))])
-            .is_committed());
-        assert!(session.run_read_only(&[Key::new("p")]).is_committed());
+    for kind in EngineKind::ALL {
+        for profile in profiles {
+            let engine = kind
+                .build(EngineSpec {
+                    profile,
+                    ..EngineSpec::new(2, 1)
+                })
+                .unwrap();
+            let mut session = engine.session(0);
+            assert!(session
+                .run_update(&[], &[(Key::new("p"), Value::from_u64(1))])
+                .is_committed());
+            assert!(session.run_read_only(&[Key::new("p")]).is_committed());
+        }
+    }
+}
+
+/// The profile's latency reaches the baselines too: a 2PC update whose
+/// only participant is another node crosses the wire at least twice
+/// (prepare, then decide), so it takes at least two one-way delays.
+#[test]
+fn twopc_cross_node_update_pays_the_profile_latency() {
+    let base = Duration::from_millis(2);
+    let engine = EngineKind::TwoPc
+        .build(EngineSpec {
+            profile: NetProfile::Uniform {
+                base,
+                jitter: Duration::ZERO,
+            },
+            ..EngineSpec::new(3, 1)
+        })
+        .unwrap();
+    let placement = ReplicaMap::new(3, 1);
+    let key = (0..)
+        .map(|i| Key::new(format!("remote-{i}")))
+        .find(|key| placement.replicas(key).iter().all(|node| node.index() != 0))
+        .expect("some key lives off node 0");
+    let mut session = engine.session(0);
+    let start = Instant::now();
+    assert!(session
+        .run_update(&[], &[(key, Value::from_u64(1))])
+        .is_committed());
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed >= 2 * base,
+        "a cross-node 2PC update took {elapsed:?}, less than one round trip of {base:?} hops"
+    );
+}
+
+/// Only SSS recovers crashed nodes: the registry refuses to build a
+/// baseline under a plan with crash windows instead of ignoring them.
+#[test]
+fn baselines_refuse_fault_plans_with_crash_windows() {
+    let plan = FaultPlan::new(1).crash(1, Duration::from_millis(5), Duration::from_millis(10));
+    for kind in EngineKind::ALL {
+        let spec = EngineSpec {
+            injector: Some(FaultInjector::new(plan.clone())),
+            ..EngineSpec::new(3, 2)
+        };
+        match kind.build(spec) {
+            Ok(engine) => assert_eq!(
+                kind,
+                EngineKind::Sss,
+                "{} accepted a crash plan",
+                engine.name()
+            ),
+            Err(error) => assert_eq!(error, BuildError::CrashUnsupported(kind)),
+        }
     }
 }

@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sss_net::{FaultInterposer, NodeId, PauseControl, SendPlan};
+use sss_net::{CrashHook, FaultInterposer, NodeId, PauseControl, SendPlan};
 use sss_vclock::runtime::SchedulerHandle;
 
 use crate::plan::FaultPlan;
@@ -17,13 +17,6 @@ use crate::plan::FaultPlan;
 /// How often the pause scheduler re-checks its stop flag while waiting for
 /// the next scheduled event.
 const SCHEDULER_TICK: Duration = Duration::from_millis(1);
-
-/// Callback the cluster attaches so crash-stop windows reach it: invoked
-/// with `(node, true)` when a scheduled crash begins and `(node, false)`
-/// when the node restarts. The injector itself only tracks *which* nodes
-/// are down; purging mailboxes, wiping volatile protocol state and running
-/// recovery is the cluster's job.
-pub type CrashHook = Arc<dyn Fn(usize, bool) + Send + Sync>;
 
 /// A scheduled fault action. Variant order is the tie-break for events at
 /// the same instant on the same node: recoveries (resume/restart) sort
@@ -93,36 +86,9 @@ impl FaultInjector {
         })
     }
 
-    /// Runs scheduled pause windows on a simulation scheduler instead of a
-    /// real-time scheduler thread. Must be called before
-    /// [`FaultInjector::arm`]; write-once, later calls are no-ops.
-    pub fn set_scheduler(&self, scheduler: SchedulerHandle) {
-        let _ = self.sim.set(scheduler);
-    }
-
     /// The plan this injector executes.
     pub fn fault_plan(&self) -> &FaultPlan {
         &self.plan
-    }
-
-    /// Attaches the per-node pause gates of a booted cluster, indexed by
-    /// node. Called by the cluster during start-up; scheduled pauses of
-    /// nodes without an attached control are ignored.
-    pub fn attach_pause_controls(&self, controls: Vec<Arc<PauseControl>>) {
-        *self.controls.lock() = controls;
-    }
-
-    /// Attaches the cluster's crash/restart callback. Called by the cluster
-    /// during start-up, before [`FaultInjector::arm`]; crash windows fired
-    /// without a hook only update the injector's crashed-node set.
-    pub fn attach_crash_hook(&self, hook: CrashHook) {
-        *self.crash_hook.lock() = Some(hook);
-    }
-
-    /// `true` while `node` is inside a scheduled crash window (crashed and
-    /// not yet restarted).
-    pub fn is_node_crashed(&self, node: usize) -> bool {
-        self.crashed.lock().contains(&node)
     }
 
     /// Fires one scheduled fault action against the attached controls/hook.
@@ -316,6 +282,35 @@ impl std::fmt::Debug for FaultInjector {
 }
 
 impl FaultInterposer for FaultInjector {
+    fn needs_reliable_delivery(&self) -> bool {
+        self.plan.needs_reliable_delivery()
+    }
+
+    /// Scheduled pauses of nodes without an attached control are ignored.
+    /// Under a simulation scheduler the plan's windows become virtual-time
+    /// events instead of a scheduler thread; the scheduler is write-once
+    /// and must be attached before [`FaultInjector::arm`].
+    fn attach(&self, pause_controls: Vec<Arc<PauseControl>>, scheduler: Option<&SchedulerHandle>) {
+        if let Some(scheduler) = scheduler {
+            let _ = self.sim.set(Arc::clone(scheduler));
+        }
+        *self.controls.lock() = pause_controls;
+    }
+
+    /// Crash windows fired without a hook only update the injector's
+    /// crashed-node set.
+    fn attach_crash_hook(&self, hook: CrashHook) {
+        *self.crash_hook.lock() = Some(hook);
+    }
+
+    fn is_node_crashed(&self, node: usize) -> bool {
+        self.crashed.lock().contains(&node)
+    }
+
+    fn disarm(&self) {
+        FaultInjector::disarm(self);
+    }
+
     fn plan(&self, from: NodeId, to: NodeId, now: Instant) -> SendPlan {
         // A node can always talk to itself, and an unarmed plan is inert.
         if from == to {
@@ -492,7 +487,7 @@ mod tests {
         ));
         let controls: Vec<Arc<PauseControl>> =
             (0..2).map(|_| Arc::new(PauseControl::new())).collect();
-        injector.attach_pause_controls(controls.clone());
+        injector.attach(controls.clone(), None);
         injector.arm();
         let deadline = Instant::now() + Duration::from_secs(1);
         while !controls[1].is_paused() && Instant::now() < deadline {
@@ -517,7 +512,7 @@ mod tests {
                 .pause(0, Duration::from_millis(20), Duration::from_millis(10)),
         );
         let control = Arc::new(PauseControl::new());
-        injector.attach_pause_controls(vec![Arc::clone(&control)]);
+        injector.attach(vec![Arc::clone(&control)], None);
         injector.arm();
         let deadline = Instant::now() + Duration::from_secs(1);
         while !control.is_paused() && Instant::now() < deadline {
@@ -629,7 +624,7 @@ mod tests {
         let injector =
             FaultInjector::new(FaultPlan::new(1).pause(0, Duration::ZERO, Duration::from_secs(30)));
         let control = Arc::new(PauseControl::new());
-        injector.attach_pause_controls(vec![Arc::clone(&control)]);
+        injector.attach(vec![Arc::clone(&control)], None);
         injector.arm();
         let deadline = Instant::now() + Duration::from_secs(1);
         while !control.is_paused() && Instant::now() < deadline {

@@ -35,8 +35,8 @@
 mod injector;
 mod plan;
 
-pub use injector::{CrashHook, FaultInjector};
+pub use injector::FaultInjector;
 pub use plan::{CrashWindow, FaultPlan, LinkFault, LinkSelector, PartitionWindow, PauseWindow};
 
-pub use sss_net::{FaultInterposer, PauseControl, SendPlan};
+pub use sss_net::{CrashHook, FaultInterposer, PauseControl, SendPlan};
 pub use sss_vclock::NodeId;

@@ -30,15 +30,27 @@
 //! a batch faults exactly like the equivalent sequence of single sends.
 //! Self-addressed messages can skip the queues entirely via the transport's
 //! local delivery fast path ([`ChannelTransport::set_local_dispatch`]).
+//!
+//! # One way to build a cluster
+//!
+//! Every engine boots through a [`ClusterHost`] configured by the
+//! [`ClusterConfig`] its own configuration embeds: the host builds the
+//! transport (latency model, seed, simulation scheduler, fault interposer,
+//! and reliable delivery when the fault plan can lose messages), installs
+//! the per-kind message classifier, registers local dispatch, hands the
+//! pause gates to the fault injector, spawns the batched workers, and owns
+//! shutdown. Engines keep only their protocol nodes.
 
 #![deny(missing_docs)]
 
+mod host;
 mod latency;
 mod mailbox;
 mod reply;
 mod runtime;
 mod transport;
 
+pub use host::{ClusterConfig, ClusterHost};
 pub use latency::LatencyModel;
 pub use mailbox::{
     Mailbox, MailboxStats, PauseControl, Priority, DEFAULT_DELIVERY_BATCH, MESSAGE_KIND_SLOTS,
@@ -46,7 +58,7 @@ pub use mailbox::{
 pub use reply::{reply_channel, ReplyReceiver, ReplySender, ReplyTryRecvError};
 pub use runtime::{NodeRuntime, NodeService};
 pub use transport::{
-    ChannelTransport, Envelope, FaultInterposer, LocalDispatch, ReliabilityConfig,
+    ChannelTransport, CrashHook, Envelope, FaultInterposer, LocalDispatch, ReliabilityConfig,
     ReliabilityStats, SendPlan, Transport, TransportConfig, TransportError, TransportExt,
 };
 

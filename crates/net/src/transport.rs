@@ -12,7 +12,7 @@ use sss_vclock::runtime::{Backoff, SchedulerHandle};
 use sss_vclock::NodeId;
 
 use crate::latency::LatencyModel;
-use crate::mailbox::{Mailbox, MailboxStats, Priority, MESSAGE_KIND_SLOTS};
+use crate::mailbox::{Mailbox, MailboxStats, PauseControl, Priority, MESSAGE_KIND_SLOTS};
 
 /// A node's message handler as registered with
 /// [`ChannelTransport::set_local_dispatch`]: the target of the local
@@ -206,10 +206,51 @@ impl SendPlan {
 /// Interposer faults compose with the transport's [`LatencyModel`]: each
 /// copy's total delay is the sampled model latency plus the plan's extra
 /// delay for that copy.
+///
+/// The remaining methods are how a [`ClusterHost`](crate::ClusterHost)
+/// wires a fault injector into the cluster it hosts; their defaults suit a
+/// pure per-message interposer.
 pub trait FaultInterposer: Send + Sync + std::fmt::Debug {
     /// Plans the delivery of one message sent from `from` to `to` at `now`.
     fn plan(&self, from: NodeId, to: NodeId, now: Instant) -> SendPlan;
+
+    /// `true` when the interposer can lose messages (link loss, or crash
+    /// windows that purge mailboxes): the host then enables the
+    /// reliable-delivery layer, without which such faults wedge any
+    /// protocol.
+    fn needs_reliable_delivery(&self) -> bool {
+        false
+    }
+
+    /// Hands over the cluster's per-node pause gates (indexed by node) and,
+    /// under simulation, its scheduler. Called once by the host, before any
+    /// node worker starts.
+    fn attach(
+        &self,
+        _pause_controls: Vec<Arc<PauseControl>>,
+        _scheduler: Option<&SchedulerHandle>,
+    ) {
+    }
+
+    /// Registers the cluster's crash/restart callback (see [`CrashHook`]).
+    fn attach_crash_hook(&self, _hook: CrashHook) {}
+
+    /// `true` while `node` is inside a crash window.
+    fn is_node_crashed(&self, _node: usize) -> bool {
+        false
+    }
+
+    /// Stops every scheduled fault action and resumes paused nodes. Called
+    /// by the host at shutdown; must be idempotent.
+    fn disarm(&self) {}
 }
+
+/// Callback a cluster attaches so crash-stop windows reach it: invoked with
+/// `(node, true)` when a scheduled crash begins and `(node, false)` when
+/// the node restarts. The injector only tracks *which* nodes are down;
+/// purging mailboxes, wiping volatile protocol state and running recovery
+/// is the cluster's job.
+pub type CrashHook = Arc<dyn Fn(usize, bool) + Send + Sync>;
 
 /// Convenience helpers available on every transport.
 pub trait TransportExt<M: Send + Clone>: Transport<M> {

@@ -11,7 +11,7 @@
 
 use std::time::Duration;
 
-use sss::engine::{EngineKind, NetProfile};
+use sss::engine::{EngineKind, EngineSpec};
 use sss::workload::{populate, run_workload, KeySelection, WorkloadSpec};
 
 fn main() {
@@ -33,7 +33,7 @@ fn main() {
     for kind in EngineKind::ALL {
         // Replication 2 for the replicated engines; ROCOCO ignores the
         // degree (the paper always compares it without replication).
-        let engine = kind.build(spec.nodes, 2, NetProfile::Instant);
+        let engine = kind.build(EngineSpec::new(spec.nodes, 2)).unwrap();
         populate(engine.as_ref(), &spec);
         let report = run_workload(engine.as_ref(), &spec);
         println!(

@@ -42,7 +42,7 @@ fn sss_read_your_own_cluster_writes_across_nodes() {
 
 #[test]
 fn twopc_transfers_preserve_the_total_balance() {
-    let cluster = TwoPcCluster::start(TwoPcConfig::new(3).replication(2));
+    let cluster = TwoPcCluster::start(TwoPcConfig::new(3));
     let session = cluster.session(0);
     let accounts: Vec<Key> = (0..8).map(|i| k(&format!("acct{i}"))).collect();
     let writes: Vec<(Key, Value)> = accounts
@@ -83,7 +83,7 @@ fn twopc_transfers_preserve_the_total_balance() {
 
 #[test]
 fn walter_read_only_transactions_are_abort_free_but_weaker() {
-    let cluster = WalterCluster::start(WalterConfig::new(3).replication(2));
+    let cluster = WalterCluster::start(WalterConfig::new(3));
     let writer = cluster.session(0);
     assert_eq!(
         writer

@@ -1,11 +1,12 @@
 //! End-to-end smoke of the fault-injection wiring through the core API:
-//! a cluster built from `SssConfig::faults` keeps its guarantees while the
+//! a cluster built with `SssConfig::fault_injector` keeps its guarantees while the
 //! plan delays, duplicates and pauses, and shutdown stays clean.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use sss::core::{SssCluster, SssConfig};
-use sss::faults::{FaultPlan, LinkFault, LinkSelector};
+use sss::faults::{FaultInjector, FaultPlan, LinkFault, LinkSelector};
 use sss::storage::Value;
 
 #[test]
@@ -18,8 +19,11 @@ fn faulted_cluster_serves_transactions_and_shuts_down_cleanly() {
                 .reorder(20, Duration::from_micros(500)),
         )
         .pause(1, Duration::ZERO, Duration::from_millis(10));
-    let cluster = SssCluster::start(SssConfig::new(3).replication(2).faults(plan)).unwrap();
-    let injector = cluster.fault_injector().expect("injector wired").clone();
+    let injector = FaultInjector::new(plan);
+    let config = SssConfig::new(3)
+        .replication(2)
+        .fault_injector(Arc::clone(&injector));
+    let cluster = SssCluster::start(config).unwrap();
     assert!(!injector.is_armed(), "plans stay inert until armed");
     injector.arm();
 
@@ -49,8 +53,12 @@ fn paused_node_delays_but_does_not_lose_traffic() {
     // Pause node 1 for a window; commits needing it stall, then the backlog
     // drains on resume and everything completes.
     let plan = FaultPlan::new(3).pause(1, Duration::ZERO, Duration::from_millis(200));
-    let cluster = SssCluster::start(SssConfig::new(2).replication(2).faults(plan)).unwrap();
-    cluster.fault_injector().unwrap().arm();
+    let injector = FaultInjector::new(plan);
+    let config = SssConfig::new(2)
+        .replication(2)
+        .fault_injector(Arc::clone(&injector));
+    let cluster = SssCluster::start(config).unwrap();
+    injector.arm();
     // Give the scheduler a moment to engage the pause gate before issuing
     // the commit, so the stall below is guaranteed to be observed.
     std::thread::sleep(Duration::from_millis(20));

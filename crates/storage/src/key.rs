@@ -4,14 +4,12 @@ use std::borrow::Borrow;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 /// A shared object identifier.
 ///
 /// Keys are cheap to clone (`Arc<str>` internally) because the protocol
 /// copies them into read-sets, write-sets, snapshot-queues and messages.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Key(Arc<str>);
 
 impl Key {
@@ -59,8 +57,7 @@ impl Borrow<str> for Key {
 /// A value stored under a [`Key`].
 ///
 /// Values are opaque byte strings; cloning is cheap ([`Bytes`] internally).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Value(Bytes);
 
 impl Value {

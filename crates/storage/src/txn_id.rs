@@ -1,6 +1,5 @@
 //! Globally unique transaction identifiers.
 
-use serde::{Deserialize, Serialize};
 use sss_vclock::NodeId;
 
 /// Identifier of a transaction.
@@ -10,7 +9,7 @@ use sss_vclock::NodeId;
 /// which makes it unique without any coordination and lets any node route
 /// messages (e.g. the forwarded `Remove` of §III-C) back to the
 /// transaction's coordinator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxnId {
     /// Node on which the transaction's client/coordinator runs.
     pub origin: NodeId,

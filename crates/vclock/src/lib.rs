@@ -35,9 +35,7 @@ pub use vector_clock::{VcOrdering, VectorClock, INLINE_WIDTH};
 ///
 /// Node identifiers are dense indices in `0..n` where `n` is the cluster
 /// size; they double as indices into [`VectorClock`] entries.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
 impl NodeId {

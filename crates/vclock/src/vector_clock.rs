@@ -1,6 +1,5 @@
 //! The [`VectorClock`] type and its partial order.
 
-use serde::{Deserialize, Serialize};
 use smallvec::SmallVec;
 
 /// Number of entries a [`VectorClock`] stores inline (without heap
@@ -52,7 +51,7 @@ pub enum VcOrdering {
 /// assert_eq!(node_vc.get(2), 1);
 /// assert_eq!(node_vc.get(0), 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct VectorClock {
     entries: SmallVec<[u64; INLINE_WIDTH]>,
 }

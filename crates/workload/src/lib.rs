@@ -40,13 +40,12 @@ pub use driver::{populate, run_trials, run_workload};
 pub use generator::{TxnTemplate, WorkloadGenerator};
 pub use report::{LatencySummary, WorkloadReport};
 pub use scenario::{
-    run_scenario, run_scenario_on, run_scenario_sim, run_scenario_sim_on,
-    run_scenario_sim_with_tuning, run_scenario_with_tuning, ChaosScenario, ScenarioExpectations,
-    ScenarioOutcome,
+    run_scenario, run_scenario_on, run_scenario_sim, run_scenario_sim_on, ChaosScenario,
+    ScenarioExpectations, ScenarioOutcome,
 };
 pub use spec::{KeySelection, SpecError, WorkloadSpec};
 
-pub use sss_engine::{EngineKind, EngineSession, EngineTuning, TransactionEngine, TxnOutcome};
+pub use sss_engine::{EngineKind, EngineSession, EngineSpec, TransactionEngine, TxnOutcome};
 pub use sss_faults::{FaultPlan, LinkFault, LinkSelector};
 pub use sss_storage::{Key, Value};
 pub use sss_vclock::NodeId;

@@ -16,8 +16,9 @@
 //! the external-consistency checker can verify the faulted run afterwards.
 //! Every injected fault is made safety-preserving: delay, reorder,
 //! duplicate, partition-with-heal and pause are so natively, and loss or
-//! crash-stop plans auto-enable the reliable-delivery layer plus the
-//! restart-recovery protocol (see `sss_core::SssCluster::start`). A checker
+//! crash-stop plans auto-enable the reliable-delivery layer (see
+//! `sss_net::ClusterHost`) plus SSS's restart-recovery protocol (see
+//! `sss_core::SssCluster::start`). A checker
 //! failure under any scenario is therefore a protocol bug, not a harness
 //! artifact.
 
@@ -30,7 +31,7 @@ use sss_consistency::{
     check_all, History, HistoryRecorder, ReadRecord, TxnKind, TxnRecord, WriteRecord,
 };
 use sss_engine::{
-    chrome_trace_json, EngineKind, EngineTuning, FaultInjector, FaultPlan, NetProfile, SimRuntime,
+    chrome_trace_json, EngineKind, EngineSpec, FaultInjector, FaultPlan, NetProfile, SimRuntime,
     TransactionEngine, WatchdogConfig, WatchdogCore, WatchdogVerdict,
 };
 use sss_storage::{Key, TxnId, Value};
@@ -187,6 +188,17 @@ impl ChaosScenario {
         self
     }
 
+    /// The engine spec this scenario runs on, under `injector`: the
+    /// scenario's node count, replication (capped at the node count) and
+    /// network profile, every other knob at its default.
+    pub fn engine_spec(&self, injector: &Arc<FaultInjector>) -> EngineSpec {
+        EngineSpec {
+            profile: self.profile,
+            injector: Some(Arc::clone(injector)),
+            ..EngineSpec::new(self.spec.nodes, self.replication.min(self.spec.nodes))
+        }
+    }
+
     /// Total committed transactions the scenario demands.
     pub fn expected_total(&self) -> u64 {
         (self.spec.total_clients() * self.ops_per_client) as u64
@@ -223,7 +235,7 @@ pub struct ScenarioOutcome {
     pub diagnostics: Option<String>,
     /// Chrome-trace JSON of the engine's trace rings, dumped when the
     /// detector fired on an observability-enabled engine (see
-    /// [`run_scenario_with_tuning`]). Scheduling-dependent, so excluded from
+    /// [`EngineSpec::observability`]). Scheduling-dependent, so excluded from
     /// [`ScenarioOutcome::summary`].
     pub trace_dump: Option<String>,
     /// Consistency-checker verdict: `None` when unchecked, `Some(Ok(()))`
@@ -614,31 +626,9 @@ pub fn run_scenario(
     kind: EngineKind,
     scenario: &ChaosScenario,
 ) -> Result<ScenarioOutcome, SpecError> {
-    run_scenario_with_tuning(kind, scenario, EngineTuning::default())
-}
-
-/// [`run_scenario`] with explicit engine tuning, e.g. to run a chaos
-/// scenario with observability on (`EngineTuning::default()
-/// .observability(true)`) so a stuck run auto-dumps its trace rings into
-/// [`ScenarioOutcome::trace_dump`].
-///
-/// # Errors
-///
-/// Returns the [`SpecError`] if the scenario's workload spec is invalid.
-pub fn run_scenario_with_tuning(
-    kind: EngineKind,
-    scenario: &ChaosScenario,
-    tuning: EngineTuning,
-) -> Result<ScenarioOutcome, SpecError> {
     scenario.spec.validate()?;
     let injector = FaultInjector::new(scenario.faults.clone());
-    let engine = kind.build_tuned(
-        scenario.spec.nodes,
-        scenario.replication.min(scenario.spec.nodes),
-        scenario.profile,
-        tuning,
-        Some(&injector),
-    );
+    let engine = kind.build(scenario.engine_spec(&injector))?;
     let outcome = run_scenario_on(engine.as_ref(), &injector, scenario);
     injector.disarm();
     Ok(outcome)
@@ -785,32 +775,13 @@ pub fn run_scenario_sim(
     scenario: &ChaosScenario,
     seed: u64,
 ) -> Result<ScenarioOutcome, SpecError> {
-    run_scenario_sim_with_tuning(kind, scenario, EngineTuning::default(), seed)
-}
-
-/// [`run_scenario_sim`] with explicit engine tuning.
-///
-/// # Errors
-///
-/// Returns the [`SpecError`] if the scenario's workload spec is invalid.
-pub fn run_scenario_sim_with_tuning(
-    kind: EngineKind,
-    scenario: &ChaosScenario,
-    tuning: EngineTuning,
-    seed: u64,
-) -> Result<ScenarioOutcome, SpecError> {
     scenario.spec.validate()?;
     let sim = SimRuntime::new(seed);
-    let handle = sim.handle();
     let injector = FaultInjector::new(scenario.faults.clone());
-    let engine: Arc<Box<dyn TransactionEngine>> = Arc::new(kind.build_tuned_on(
-        scenario.spec.nodes,
-        scenario.replication.min(scenario.spec.nodes),
-        scenario.profile,
-        tuning,
-        Some(&injector),
-        Some(&handle),
-    ));
+    let engine: Arc<Box<dyn TransactionEngine>> = Arc::new(kind.build(EngineSpec {
+        scheduler: Some(sim.handle()),
+        ..scenario.engine_spec(&injector)
+    })?);
     let outcome = run_scenario_sim_on(&sim, &engine, &injector, scenario);
     injector.disarm();
     sim.wait_quiescent();
@@ -818,7 +789,7 @@ pub fn run_scenario_sim_with_tuning(
 }
 
 /// [`run_scenario_sim`] against an already-built engine wired to `sim`
-/// (see [`EngineKind::build_tuned_on`]); `injector` is armed at the first
+/// (see [`EngineSpec::scheduler`]); `injector` is armed at the first
 /// quiescent point after population.
 pub fn run_scenario_sim_on(
     sim: &Arc<SimRuntime>,

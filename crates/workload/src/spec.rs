@@ -35,6 +35,8 @@ pub enum SpecError {
     ReadOnlyPercentOutOfRange(u8),
     /// `local_fraction_percent` exceeds 100.
     LocalFractionOutOfRange(u8),
+    /// The engine cannot run the scenario's fault plan.
+    Unsupported(sss_engine::BuildError),
 }
 
 impl std::fmt::Display for SpecError {
@@ -49,11 +51,18 @@ impl std::fmt::Display for SpecError {
             SpecError::LocalFractionOutOfRange(p) => {
                 write!(f, "local-access fraction must be 0-100, got {p}")
             }
+            SpecError::Unsupported(error) => error.fmt(f),
         }
     }
 }
 
 impl std::error::Error for SpecError {}
+
+impl From<sss_engine::BuildError> for SpecError {
+    fn from(error: sss_engine::BuildError) -> Self {
+        SpecError::Unsupported(error)
+    }
+}
 
 /// A complete description of one benchmark configuration.
 #[derive(Debug, Clone)]
