@@ -322,42 +322,42 @@ pub fn replay_corpus() -> Vec<CorpusEntry> {
             EngineKind::Sss,
             "control",
             42,
-            0xce3922f40faf7443,
+            0xa9d2af4eec320873,
         ),
         entry(
             "partition-heal-7",
             EngineKind::Sss,
             "partition-heal",
             7,
-            0x2de57b1e4cbe4dcf,
+            0x2e53c88303f297c7,
         ),
         entry(
             "duplicate-storm-1001",
             EngineKind::Sss,
             "duplicate-storm",
             1001,
-            0xcd17c5311c66700e,
+            0x23bdb606183e4cd1,
         ),
         entry(
             "reorder-burst-31337",
             EngineKind::Sss,
             "reorder-burst",
             31337,
-            0x29ab579e4c375385,
+            0xca83972f37f3e9c7,
         ),
         entry(
             "chaos-mix-97",
             EngineKind::Sss,
             "chaos-mix",
             97,
-            0x0a267b6b8e5f659f,
+            0xfeff2c2dda860396,
         ),
         entry(
             "mc-duplicate-prepare-13",
             EngineKind::Sss,
             "mc-duplicate-prepare",
             13,
-            0x8b7052c36a6e5a24,
+            0xb537951d8975082a,
         ),
         entry(
             "twopc-partition-heal-1",
@@ -383,7 +383,7 @@ pub fn replay_corpus() -> Vec<CorpusEntry> {
             EngineKind::Sss,
             "crash-restart-during-commit",
             669,
-            0x4021c564bac5a1c2,
+            0x16e2d12e4160f021,
         ),
         entry(
             "leader-crash-mid-epoch-669",

@@ -147,6 +147,11 @@ impl SssCluster {
         Session::new(Arc::clone(&self.nodes[node]))
     }
 
+    #[cfg(test)]
+    pub(crate) fn node(&self, node: usize) -> &Arc<SssNode> {
+        &self.nodes[node]
+    }
+
     /// Per-node protocol counters.
     pub fn node_stats(&self) -> Vec<NodeStats> {
         self.nodes.iter().map(|n| n.stats()).collect()
@@ -167,6 +172,16 @@ impl SssCluster {
             total.merge(&node.storage_stats());
         }
         total
+    }
+
+    /// Traffic counters of node `node`'s mailbox, with the per-message-kind
+    /// breakdown (slots per [`SssMessage::kind_index`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range.
+    pub fn mailbox_stats(&self, node: usize) -> sss_net::MailboxStats {
+        self.host.transport().mailbox_stats(NodeId(node))
     }
 
     /// Aggregated mailbox traffic counters summed over every node, for
@@ -240,9 +255,11 @@ impl SssCluster {
     }
 
     /// Per-node liveness diagnostics: mailbox traffic and queue depth,
-    /// pause and availability state, snapshot-queue entries and commits
-    /// awaiting external acknowledgement. Used by stuck-run detectors to
-    /// explain *where* a faulted scenario wedged.
+    /// pause and availability state, snapshot-queue entries, commits
+    /// awaiting external acknowledgement, and the blocking edge of parked
+    /// reads — how many are parked, how many writers await their release
+    /// (`pending_global`), and the oldest such writer with its age. Used by
+    /// stuck-run detectors to explain *where* a faulted scenario wedged.
     pub fn diagnostics(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -250,10 +267,15 @@ impl SssCluster {
             let id = node.id();
             let mailbox = self.host.transport().mailbox(id);
             let stats = mailbox.stats();
+            let oldest = match node.oldest_pending_writer() {
+                Some((txn, age)) => format!("{txn} (waiting {age:?})"),
+                None => "none".to_string(),
+            };
             let _ = writeln!(
                 out,
                 "node {}: mailbox depth={} enqueued={} dequeued={} paused={} available={} \
-                 snapshot-queue-entries={} waiting-external-commits={}",
+                 snapshot-queue-entries={} waiting-external-commits={} parked-reads={} \
+                 pending-global={} oldest-pending-writer={}",
                 id.index(),
                 mailbox.len(),
                 stats.total_enqueued(),
@@ -262,6 +284,9 @@ impl SssCluster {
                 node.is_available(),
                 node.snapshot_queue_entries(),
                 node.waiting_external_commits(),
+                node.parked_reads(),
+                node.pending_global_writers(),
+                oldest,
             );
         }
         out.push_str(&self.pending_reports());

@@ -70,20 +70,32 @@ use super::SssNode;
 #[derive(Default)]
 pub(crate) struct ConfirmCoalescer {
     state: Mutex<CoalescerCore<ReplySender<bool>>>,
+    /// Releases of completed rounds that a crash caught still buffered for
+    /// piggybacking. Durable: those rounds collected every ack and their
+    /// clients were answered, so their writers must still be released, or
+    /// every read selecting their versions parks until
+    /// `pending_global_hold_max`. Flushed by
+    /// [`SssNode::flush_crash_releases`] once the node recovered.
+    crash_releases: Mutex<Vec<TxnId>>,
 }
 
 impl ConfirmCoalescer {
     /// Crash-stop reset: drops every queued member (their waiters observe a
     /// dropped channel → a failed round → `ExternalCommitTimeout`, the
     /// degraded path committers already handle) and clears the leader flag
-    /// so the next committer after restart leads a fresh round. A leader
-    /// thread still looping against the old state simply drains to `Exit`;
-    /// its stale `round_completed` call lands in the fresh core's release
-    /// queue, which only re-releases transactions whose round already
-    /// collected acks or timed out — the same failure-path release as the
-    /// base protocol.
+    /// so the next committer after restart leads a fresh round. The
+    /// completed rounds' buffered releases move to the durable
+    /// `crash_releases`. A leader thread still looping against the old
+    /// state simply drains to `Exit`; its stale `round_completed` call lands
+    /// in the fresh core's release queue, which only re-releases
+    /// transactions whose round already collected acks or timed out — the
+    /// same failure-path release as the base protocol.
     pub(crate) fn reset(&self) {
-        *self.state.lock() = CoalescerCore::default();
+        let mut state = self.state.lock();
+        self.crash_releases
+            .lock()
+            .extend_from_slice(state.pending_release_txns());
+        *state = CoalescerCore::default();
     }
 }
 
@@ -116,6 +128,22 @@ impl SssNode {
     /// hold blocked writers toward their `precommit_hold_max`.
     pub(crate) fn queue_remove_on_next_round(&self, txn: TxnId) -> bool {
         self.confirm.state.lock().queue_remove(txn)
+    }
+
+    /// Sends the releases a crash caught buffered (see
+    /// [`ConfirmCoalescer::reset`]) as one `ReleaseExternal` to every node.
+    /// Called once recovery marked the node available: a crashed node never
+    /// sends.
+    pub(crate) fn flush_crash_releases(&self) {
+        let txns = std::mem::take(&mut *self.confirm.crash_releases.lock());
+        if !txns.is_empty() {
+            let _ = self.transport().multicast(
+                self.id(),
+                (0..self.config().cluster.nodes).map(NodeId),
+                SssMessage::ReleaseExternal { txns },
+                Priority::High,
+            );
+        }
     }
 
     /// Leader loop: drives confirmation rounds until the queue (and the
@@ -263,4 +291,74 @@ fn collect_round_acks(
         }
     }
     true
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::{Duration, Instant};
+
+    use sss_storage::Value;
+
+    use crate::{SssCluster, SssConfig};
+
+    fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A crash between a round's completion and its release must not strand
+    /// the writer in `pending_global` (where it parks every read selecting
+    /// its versions until `pending_global_hold_max`): the buffered release
+    /// survives the crash and goes out once the node recovered.
+    #[test]
+    fn crash_after_a_completed_round_still_releases_its_writer() {
+        // A lone committer leads its round, then lingers with the release
+        // buffered — the window the crash hits.
+        let config = SssConfig::new(3)
+            .replication(2)
+            .confirm_linger(Duration::from_secs(1));
+        let cluster = SssCluster::start(config).unwrap();
+        let node = cluster.node(0);
+        let mut txn = cluster.session(0).begin_update();
+        let writer = txn.id();
+        txn.write("k", Value::from_u64(1));
+        let committer = std::thread::spawn(move || txn.commit());
+        wait_until("the round completed", || {
+            node.confirm.state.lock().pending_release_len() > 0
+        });
+
+        // Crash-stop node 0 as the cluster's crash hook does.
+        node.transport().mailbox(node.id()).crash();
+        node.on_crash();
+        committer
+            .join()
+            .unwrap()
+            .expect("the round completed before the crash");
+        let holding = |n: usize| {
+            cluster
+                .node(n)
+                .state
+                .lock()
+                .pending_global
+                .contains(&writer)
+        };
+        assert!(
+            (0..3).any(holding),
+            "the crash caught the writer unreleased"
+        );
+        let report = cluster.diagnostics();
+        assert!(
+            report.contains(&format!("oldest-pending-writer={writer} (waiting")),
+            "the stall dump names the unreleased writer: {report}"
+        );
+
+        node.transport().mailbox(node.id()).restart();
+        node.recover_from_peers();
+        wait_until("no node holds the writer in pending_global", || {
+            !(0..3).any(holding)
+        });
+    }
 }

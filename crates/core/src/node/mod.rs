@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use sss_net::{reply_channel, ChannelTransport, Envelope, NodeService, Priority, TransportExt};
-use sss_storage::{Key, LockTable, MvStore, ReplicaMap, TxnId};
+use sss_storage::{LockTable, MvStore, ReplicaMap, TxnId};
 use sss_vclock::{NodeId, VectorClock};
 
 use crate::config::SssConfig;
@@ -106,17 +106,21 @@ impl SssNode {
     /// * **Durable**: the store's versions and the lock table (installed
     ///   data and prepare records), `prepared` / `commit_q` / `nlog` /
     ///   `node_vc` (prepare and commit records), the idempotency sets
-    ///   (`prepared_ever` etc. — replay guards a WAL recovery rebuilds) and
-    ///   the transaction-id counter.
+    ///   (`prepared_ever` etc. — replay guards a WAL recovery rebuilds),
+    ///   the transaction-id counter, and the releases of confirmation
+    ///   rounds that completed but whose `ReleaseExternal` had not gone out
+    ///   yet (their clients were answered; [`SssNode::recover_from_peers`]
+    ///   flushes them once the node is available again).
     /// * **Volatile**: deferred and parked reads (their reply channels die
     ///   with the process; with reliable delivery the *requests* are
     ///   retransmitted and served after restart), Pre-Commit holds
     ///   (`waiting_external` — the coordinator's ack times out, the
     ///   degraded path it already handles), the snapshot-queues and forward
-    ///   targets (read-only bookkeeping), the confirmation coalescer
-    ///   (pending waiters observe a failed round), and `confirmed_vc` —
-    ///   re-learned from peers by [`SssNode::recover_from_peers`] before
-    ///   the node comes back available.
+    ///   targets (read-only bookkeeping), the confirmation coalescer's
+    ///   queued members and piggybacked removes (pending waiters observe a
+    ///   failed round), and `confirmed_vc` — re-learned from peers by
+    ///   [`SssNode::recover_from_peers`] before the node comes back
+    ///   available.
     pub(crate) fn on_crash(&self) {
         self.available.store(false, Ordering::Release);
         let mut state = self.state.lock();
@@ -131,7 +135,8 @@ impl SssNode {
     }
 
     /// Recovery round: re-learns the confirmed snapshot from peers via
-    /// `StateQuery`/`StateReply`, then marks the node available again.
+    /// `StateQuery`/`StateReply`, marks the node available again, and then
+    /// sends the releases the crash caught buffered.
     /// Called by the cluster's restart hook on a dedicated task (never on a
     /// mailbox worker — the round blocks on replies).
     ///
@@ -178,6 +183,7 @@ impl SssNode {
             }
         }
         self.available.store(true, Ordering::Release);
+        self.flush_crash_releases();
     }
 
     /// This node's identifier.
@@ -200,6 +206,31 @@ impl SssNode {
     /// phase on this node.
     pub fn waiting_external_commits(&self) -> usize {
         self.state.lock().waiting_external.len()
+    }
+
+    /// Number of read-only reads parked here until the writer of their
+    /// selected version is globally externally committed.
+    pub(crate) fn parked_reads(&self) -> usize {
+        self.state.lock().parked_reads.len()
+    }
+
+    /// Number of update transactions that externally committed here but
+    /// whose `ReleaseExternal` has not arrived (`pending_global`): reads
+    /// selecting their versions park.
+    pub(crate) fn pending_global_writers(&self) -> usize {
+        self.state.lock().pending_global.len()
+    }
+
+    /// The longest-waiting `pending_global` writer and how long it has
+    /// waited for its release, if any.
+    pub(crate) fn oldest_pending_writer(&self) -> Option<(TxnId, std::time::Duration)> {
+        let state = self.state.lock();
+        let now = sss_vclock::runtime::now();
+        state
+            .pending_global_at
+            .iter()
+            .find(|(txn, _)| state.pending_global.contains(txn))
+            .map(|(txn, since)| (*txn, now.saturating_duration_since(*since)))
     }
 
     /// Number of versions currently retained by this node's store.
@@ -258,9 +289,9 @@ impl SssNode {
 
     /// Called by a colocated client when its read-only transaction returns:
     /// marks the transaction completed and sends `Remove` to every node that
-    /// may hold one of its snapshot-queue entries (replicas of the read keys
-    /// plus any registered forward targets, §III-C).
-    pub(crate) fn finish_read_only(&self, txn: TxnId, read_keys: &[Key]) {
+    /// may hold one of its snapshot-queue entries — the nodes its reads
+    /// asked (`asked`) plus any registered forward targets (§III-C).
+    pub(crate) fn finish_read_only(&self, txn: TxnId, asked: &[NodeId]) {
         let extra: Vec<NodeId> = {
             let mut state = self.state.lock();
             state.completed_ro.insert(txn);
@@ -282,7 +313,7 @@ impl SssNode {
         {
             return;
         }
-        let mut targets = self.replicas.replicas_of_all(read_keys.iter());
+        let mut targets = asked.to_vec();
         targets.extend(extra);
         targets.sort();
         targets.dedup();

@@ -97,6 +97,7 @@ impl Session {
             vc: None,
             has_read: vec![false; self.node.config().cluster.nodes],
             read_keys: Vec::new(),
+            asked: Vec::new(),
             excluded: Vec::new(),
             finished: false,
             trace: self.begin_trace(id),
@@ -126,8 +127,30 @@ fn ensure_available(node: &SssNode) -> Result<(), SssError> {
     Err(SssError::NodeUnavailable)
 }
 
-/// Issues a read request to every replica of `key` and returns the fastest
-/// answer (Algorithm 5 line 9-10).
+/// Reads `key` from its replicas and returns the first answer.
+///
+/// Algorithm 5 (lines 9-10) sends the request to every replica of the key
+/// and keeps the fastest answer. This implementation deviates when the
+/// coordinator itself stores `key`: it asks the colocated replica alone
+/// first. The local delivery fast path runs the handler inline, so when
+/// that replica could serve the read, the answer is already in the channel
+/// when the send returns, and no other replica is asked. When it is not —
+/// the read was deferred or parked, or the fast path is off (reliable
+/// delivery, a latency model, a faulted link, a paused or crashed node) —
+/// the remaining replicas are asked too and the first answer from any of
+/// them wins, as in the paper. A key with no colocated replica goes to
+/// every replica.
+///
+/// The deviation is safe because every execution it produces is one the
+/// full fan-out already allows: the one in which the copies sent to the
+/// other replicas arrive after the transaction's `Remove`, where
+/// `removed_ro` drops them. Correctness never depends on a slower
+/// replica's copy.
+///
+/// Every node a request is sent to is recorded in `asked` (when given)
+/// *before* the send: a read-only transaction sends its `Remove` to exactly
+/// these nodes.
+#[allow(clippy::too_many_arguments)]
 fn remote_read(
     node: &SssNode,
     txn: TxnId,
@@ -136,10 +159,12 @@ fn remote_read(
     has_read: &[bool],
     exclude: &[Arc<VectorClock>],
     is_update: bool,
+    mut asked: Option<&mut Vec<NodeId>>,
 ) -> Result<crate::messages::ReadReturn, SssError> {
-    let replicas = node.replica_map().replicas(key);
-    let (reply, receiver) = reply_channel(replicas.len());
-    let message = SssMessage::ReadRequest {
+    let me = node.id();
+    let map = node.replica_map();
+    let (reply, receiver) = reply_channel(map.degree());
+    let request = |reply| SssMessage::ReadRequest {
         txn,
         key: key.clone(),
         vc: vc.clone(),
@@ -148,14 +173,31 @@ fn remote_read(
         is_update,
         reply,
     };
-    node.transport()
-        .multicast(
-            node.id(),
-            replicas.iter().copied(),
-            message,
-            Priority::Normal,
-        )
-        .map_err(|_| SssError::ClusterShutdown)?;
+    let mut record = |targets: &[NodeId]| {
+        if let Some(asked) = asked.as_deref_mut() {
+            asked.extend_from_slice(targets);
+        }
+    };
+    if map.is_replica(me, key) {
+        record(&[me]);
+        node.transport()
+            .send(me, me, request(reply.clone()), Priority::Normal)
+            .map_err(|_| SssError::ClusterShutdown)?;
+        if let Ok(answer) = receiver.try_recv() {
+            return Ok(answer);
+        }
+    }
+    let others: Vec<NodeId> = map.replicas(key).into_iter().filter(|n| *n != me).collect();
+    if others.is_empty() {
+        // Single replica, the colocated one: drop the spare sender so a
+        // purged request surfaces as a disconnect, not a full timeout.
+        drop(reply);
+    } else {
+        record(&others);
+        node.transport()
+            .multicast(me, others, request(reply), Priority::Normal)
+            .map_err(|_| SssError::ClusterShutdown)?;
+    }
     receiver
         .recv_timeout(node.config().read_timeout)
         .ok_or_else(|| SssError::ReadTimeout { key: key.clone() })
@@ -232,6 +274,7 @@ impl UpdateTransaction {
             &self.has_read,
             &[],
             true,
+            None,
         )?;
         self.has_read[response.from.index()] = true;
         self.vc.merge(&response.vc);
@@ -558,6 +601,10 @@ pub struct ReadOnlyTransaction {
     vc: Option<VectorClock>,
     has_read: Vec<bool>,
     read_keys: Vec<Key>,
+    /// Nodes this transaction sent a read request to, repeats included: the
+    /// nodes that may hold its snapshot-queue entries, and so its `Remove`
+    /// targets.
+    asked: Vec<NodeId>,
     /// Exclusion ceilings of this transaction's snapshot (commit clocks of
     /// pre-committing writers its first read excluded): the transaction
     /// serialized before them, so no later read may observe their versions
@@ -596,11 +643,12 @@ impl ReadOnlyTransaction {
             ensure_available(&self.node)?;
             self.vc = Some(self.node.begin_vc());
         }
-        // Track the key *before* issuing the request: even when the read
-        // fails (e.g. times out while deferred or parked on a replica), the
-        // replicas may already hold this transaction's snapshot-queue entry
-        // for the key, and the `Remove`s sent at completion must reach them
-        // or a writer could be blocked forever.
+        // Track the key — and, inside `remote_read`, every node asked —
+        // *before* issuing the request: even when the read fails (e.g. times
+        // out while deferred or parked on a replica), the asked replicas may
+        // already hold this transaction's snapshot-queue entry for the key,
+        // and the `Remove`s sent at completion must reach them or a writer
+        // could be blocked forever.
         if let Some(trace) = self.trace.as_mut() {
             trace.enter(Phase::Read);
         }
@@ -614,6 +662,7 @@ impl ReadOnlyTransaction {
             &self.has_read,
             &self.excluded,
             false,
+            Some(&mut self.asked),
         )?;
         self.has_read[response.from.index()] = true;
         for ceiling in response.excluded {
@@ -633,7 +682,8 @@ impl ReadOnlyTransaction {
 
     /// Commits the transaction. This never fails due to concurrency: the
     /// client is answered immediately and the `Remove` notifications are
-    /// sent to the nodes holding this transaction's snapshot-queue entries.
+    /// sent to the nodes that may hold this transaction's snapshot-queue
+    /// entries (the nodes its reads asked, plus forward targets).
     ///
     /// # Errors
     ///
@@ -651,8 +701,8 @@ impl ReadOnlyTransaction {
     fn finish(&mut self) {
         if !self.finished {
             self.finished = true;
-            if !self.read_keys.is_empty() {
-                self.node.finish_read_only(self.id, &self.read_keys);
+            if !self.asked.is_empty() {
+                self.node.finish_read_only(self.id, &self.asked);
             }
             if let Some(trace) = self.trace.take() {
                 trace.finish(true);
